@@ -107,32 +107,7 @@ def _q_linkage_edges(sf_dir: str):
     res = run_linkage(_pages(sf_dir), buckets=16, num_partitions=4)
     edges = res.edges.filter(expr="accepted == True").select_columns(
         ["left_id", "right_id", "tier", "confidence", "similarity", "exact"])
-    # edges may hold one row per (pair, blocking key); unique-pair
-    # collapse runs DISTRIBUTED (pair-hash bucket shuffle + one
-    # vectorized dedup per bucket) — the same pair scores identically
-    # under every key, so any representative is exact; rows are sorted
-    # inside the bucket first so the kept one is deterministic.
-    import numpy as np
-    import pandas as pd
-
-    def add_pb(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        l = df["left_id"].to_numpy(dtype="uint64")
-        r = df["right_id"].to_numpy(dtype="uint64")
-        with np.errstate(over="ignore"):
-            h = l * np.uint64(0x9E3779B97F4A7C15) ^ r
-        df["_pb"] = (h % np.uint64(32)).astype("int64")
-        return df
-
-    def dedup(g: pd.DataFrame) -> pd.DataFrame:
-        return (g.drop(columns=["_pb"])
-                 .sort_values(["left_id", "right_id", "tier"])
-                 .drop_duplicates(["left_id", "right_id"])
-                 .reset_index(drop=True))
-
-    return (edges.map_batches(add_pb, batch_format="pandas")
-            .groupby("_pb").map_groups(dedup, batch_format="pandas")
-            .sort(["left_id", "right_id"]))
+    return edges.sort(["left_id", "right_id"])
 
 
 def _q_extracted(sf_dir: str):

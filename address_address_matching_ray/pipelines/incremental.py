@@ -109,7 +109,7 @@ def incremental_linkage(new_pages_ds, prior_clusters_ds, *,
         equi_join, membership_join,
     )
     from address_address_matching_ray.stages.cluster import (
-        attach_singletons, connected_components, dedup_edge_pairs,
+        attach_singletons, connected_components,
     )
     from address_address_matching_ray.stages.extract import extract_stage
     from address_address_matching_ray.stages.keys import keys_stage
@@ -188,7 +188,6 @@ def incremental_linkage(new_pages_ds, prior_clusters_ds, *,
     # ── steps 3-4: standard bucketed pair generation + tier scoring,
     # masked to pairs touching >=1 new doc ──
     pairs = pairs_stage(union_keys, cfg, buckets=buckets,
-                        dedup_cross_key=False,
                         keys_size_bytes=union_keys.size_bytes())
 
     new_universe = (new_universe or new_pages_ds.select_columns(["doc_id"]))
@@ -222,8 +221,7 @@ def incremental_linkage(new_pages_ds, prior_clusters_ds, *,
     # other oracle-twin seam (default: the production tiered scorer)
     delta_edges = (score_fn(pairs) if score_fn is not None
                    else score_stage(pairs, cfg)).materialize()
-    accepted = dedup_edge_pairs(delta_edges.filter(expr="accepted == True"),
-                                buckets=buckets)
+    accepted = delta_edges.filter(expr="accepted == True")
 
     # ── step 5: contract old endpoints to their prior cluster label ──
     slim = accepted.select_columns(["left_id", "right_id"]).materialize()

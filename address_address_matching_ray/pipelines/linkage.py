@@ -3,8 +3,9 @@
     pages ─► extract/normalize/parse (stateless map_batches)
           ─► blocking keys (actor pool: MinHash perms)      [shuffle-free]
           ─► bucketed groupby → candidate pairs (capped, salted-by-window,
-             canonicalized, deduped)                        [shuffles 1-2]
-          ─► tiered scorer actor pool → edges               [shuffle-free]
+             canonicalized, one row per pair)               [shuffles 1-2]
+          ─► tiered scorer actor pool → edges, each pair
+             scored once                                    [shuffle-free]
           ─► iterative min-label propagation → clusters     [shuffles 3..k]
           ─► metrics aggregates (tier distribution, A1-A4)
 
@@ -123,13 +124,7 @@ def run_linkage(pages_ds, cfg: PipelineConfig | None = None,
             hot_input = keys_stage(
                 extracted.map_batches(doc_sample, batch_format="pyarrow"),
                 cfg)
-        # cross-key pair dedup skipped: duplicate scoring (memoized) is
-        # ~35% cheaper than shuffling the pair table, and clustering is
-        # idempotent to duplicate edges.  ``edges`` may therefore hold
-        # >1 row per (left_id, right_id) — consumers needing unique
-        # pairs (exports, per-pair metrics) drop duplicates.
         pairs = pairs_stage(keys, cfg, buckets=buckets,
-                            dedup_cross_key=False,
                             keys_size_bytes=keys_size,
                             hot_keys_input=hot_input)
         # streaming split-repartition between pair generation and
@@ -158,13 +153,7 @@ def run_linkage(pages_ds, cfg: PipelineConfig | None = None,
 
     def build_clusters(universe, edges):
         accepted = edges.filter(expr="accepted == True")
-        # collapse duplicate pairs DISTRIBUTED (dup factor ~2-3× from
-        # skipped cross-key dedup) so the union-find's serial phase
-        # sees unique edges only
-        from address_address_matching_ray.stages.cluster import dedup_edge_pairs
-
-        unique_pairs = dedup_edge_pairs(accepted, buckets=buckets)
-        labels = connected_components(unique_pairs,
+        labels = connected_components(accepted,
                                       num_partitions=num_partitions,
                                       driver_threshold=cc_driver_threshold,
                                       assume_unique=True)

@@ -69,7 +69,8 @@ def connected_components(edges_ds, num_partitions: int = 16,
     a property test asserts it.
 
     Only edge endpoints appear; isolated docs are attached by
-    ``attach_singletons``.
+    ``attach_singletons``.  The distributed fixpoint raises
+    ``RuntimeError`` if it has not converged after ``max_iters`` rounds.
     """
     n_edges = edges_ds.count()
     if n_edges == 0:
@@ -170,19 +171,24 @@ def connected_components(edges_ds, num_partitions: int = 16,
         if cur_sum == prev_sum:
             break
         prev_sum = cur_sum
+    else:
+        raise RuntimeError(
+            f"connected_components: label propagation did not reach a "
+            f"fixpoint in max_iters={max_iters} rounds")
 
     return _project(labels, {"node": "doc_id", "cluster_id": "cluster_id"})
 
 
-def dedup_edge_pairs(edges_ds, buckets: int = 64):
-    """Distributed (left_id, right_id) pair dedup: bucketed shuffle of
-    the two slim id columns + one Arrow sort/mask per bucket.  The
-    linkage pipeline skips cross-key pair dedup by design (dup factor
-    ~2-3×); collapsing duplicates BEFORE edges reach the driver
-    union-find moves that work from the serial phase to the cluster."""
-    from address_address_matching_ray.stages.pairs import shuffle_partitions
-
-    slim = edges_ds.select_columns(["left_id", "right_id"])
+def dedup_edge_pairs(pairs_ds, buckets: int = 64,
+                     size_bytes: int | None = None):
+    """Distributed (left_id, right_id) pair dedup — the one pair-hash
+    exchange (shuffle #2 of ``pairs_stage``): bucket rows by a hash of
+    the pair, then one Arrow sort/mask per bucket keeps the full row
+    with max specificity (ties → smallest block_key).  Pairs co-blocked
+    under several keys thus reach the scorer once."""
+    from address_address_matching_ray.stages.pairs import (
+        _dedup_pairs_bucket_arrow, shuffle_partitions,
+    )
 
     def add_b(t: pa.Table) -> pa.Table:
         with np.errstate(over="ignore"):
@@ -192,19 +198,11 @@ def dedup_edge_pairs(edges_ds, buckets: int = 64):
         return t.append_column(
             "_b", pa.array((h % np.uint64(buckets)).astype("int64")))
 
-    def dd(t: pa.Table) -> pa.Table:
-        t = t.drop(["_b"]).sort_by([("left_id", "ascending"),
-                                    ("right_id", "ascending")])
-        l = t["left_id"].to_numpy(zero_copy_only=False)
-        r = t["right_id"].to_numpy(zero_copy_only=False)
-        if len(l) < 2:
-            return t
-        keep = np.concatenate([[True], (l[1:] != l[:-1]) | (r[1:] != r[:-1])])
-        return t.filter(pa.array(keep)) if not keep.all() else t
-
-    return (slim.map_batches(add_b, batch_format="pyarrow")
-            .repartition(shuffle_partitions())
-            .groupby("_b").map_groups(dd, batch_format="pyarrow"))
+    return (pairs_ds.map_batches(add_b, batch_format="pyarrow")
+            .repartition(shuffle_partitions(size_bytes))
+            .groupby("_b").map_groups(
+                lambda g: _dedup_pairs_bucket_arrow(g.drop(["_b"])),
+                batch_format="pyarrow"))
 
 
 def _cc_arrays(left: np.ndarray, right: np.ndarray):
@@ -311,10 +309,10 @@ def _driver_union_find(edges_ds, assume_unique: bool = False):
         if t.num_rows]          # empty blocks may carry a degenerate schema
     ids = pl.from_arrow(pa.concat_tables(blocks))
     if not assume_unique:
-        # duplicate pairs are mostly collapsed DISTRIBUTED upstream
-        # (``dedup_edge_pairs``); a residual unique() here stays cheap.
-        # Callers that provably routed through ``dedup_edge_pairs``
-        # pass assume_unique=True and skip this serial hash pass.
+        # callers whose edges come from ``pairs_stage`` (one row per
+        # pair by construction) pass assume_unique=True and skip this
+        # serial hash pass; contracted or hand-built edge lists may
+        # repeat pairs.
         ids = ids.unique()
     left = ids["left_id"].to_numpy().astype("uint64", copy=False)
     right = ids["right_id"].to_numpy().astype("uint64", copy=False)

@@ -207,19 +207,6 @@ def _empty_pairs_arrow() -> pa.Table:
     return _pairs_schema().empty_table()
 
 
-def _empty_pairs() -> pd.DataFrame:
-    return _empty_pairs_arrow().to_pandas()
-
-
-def _dedup_pairs_bucket(df: pd.DataFrame) -> pd.DataFrame:
-    """Cross-key pair dedup within a pair-hash bucket (vectorized)."""
-    if not len(df):
-        return df
-    df = df.sort_values(["left_id", "right_id", "specificity", "block_key"],
-                        ascending=[True, True, False, True], kind="mergesort")
-    return df.drop_duplicates(["left_id", "right_id"], keep="first").reset_index(drop=True)
-
-
 def _bucket_of(h: np.ndarray, buckets: int) -> np.ndarray:
     return (h % np.uint64(buckets)).astype("int64")
 
@@ -329,15 +316,15 @@ def _find_hot_keys(keys_ds, threshold: int, buckets: int = 64,
 
 def pairs_stage(keys_ds, cfg: PipelineConfig | None = None,
                 buckets: int = 64, salt_hot: bool = True,
-                dedup_cross_key: bool = True,
                 keys_size_bytes: int | None = None,
                 hot_keys_input=None):
     """keys → deduped candidate pairs.
 
     Shuffle #0 (optional, combiner-pre-aggregated): count keys → hot set.
     Shuffle #1: ``groupby(key_bucket)`` (key = hash(block_key) % B).
-    Shuffle #2: ``groupby(pair_bucket)`` for cross-key dedup — smaller
-    input (pairs already deduped per key-bucket).
+    Shuffle #2: ``dedup_edge_pairs`` — ``groupby(pair_bucket)`` for
+    cross-key dedup, so every pair is scored once (smaller input: pairs
+    are already deduped per key-bucket).
 
     Skew: keys hotter than ``8 × cfg.max_block_size`` are SALTED —
     ``key#s{doc_id % salt_buckets}`` spreads one mega-block's ingestion
@@ -414,23 +401,9 @@ def pairs_stage(keys_ds, cfg: PipelineConfig | None = None,
         lambda g: make_pairs_bucket_arrow(g.drop(["key_bucket"]), cfg),
         batch_format="pyarrow")
 
-    if not dedup_cross_key:
-        # skip shuffle #2: a pair co-blocked under keys in different
-        # buckets gets scored more than once (dup factor ~1.2-2x) —
-        # cheaper than shuffling the pair table now that scoring is
-        # memoized; clustering is idempotent to duplicate edges.
-        # Downstream edge consumers must drop_duplicates themselves.
-        return pairs
+    # one row per (left_id, right_id): a pair co-blocked under keys in
+    # different key buckets is collapsed here, before scoring
+    from address_address_matching_ray.stages.cluster import dedup_edge_pairs
 
-    def add_pair_bucket(t: pa.Table) -> pa.Table:
-        with np.errstate(over="ignore"):
-            h = (t["left_id"].to_numpy(zero_copy_only=False).astype("uint64")
-                 * np.uint64(0x9E3779B97F4A7C15)
-                 ^ t["right_id"].to_numpy(zero_copy_only=False).astype("uint64"))
-        return t.append_column("pair_bucket", pa.array(_bucket_of(h, buckets)))
-
-    rebucketed = (pairs.map_batches(add_pair_bucket, batch_format="pyarrow")
-                  .repartition(shuffle_partitions(keys_size_bytes)))
-    return rebucketed.groupby("pair_bucket").map_groups(
-        lambda g: _dedup_pairs_bucket_arrow(g.drop(["pair_bucket"])),
-        batch_format="pyarrow")
+    return dedup_edge_pairs(pairs, buckets=buckets,
+                            size_bytes=keys_size_bytes)

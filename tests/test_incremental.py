@@ -50,6 +50,10 @@ def test_incremental_matches_full_rerun(ray_session):
     got = _canon(inc.clusters)
     want = _canon(full.clusters)
     assert got.equals(want)
+    # each delta pair is scored once
+    delta = inc.delta_edges.to_pandas()
+    assert len(delta)
+    assert not delta.duplicated(["left_id", "right_id"]).any()
     # the new-docs view covers exactly the odd ids
     new_df = _canon(inc.new_clusters)
     assert (new_df["doc_id"].to_numpy() % 2 == 1).all()

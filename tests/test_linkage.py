@@ -179,6 +179,30 @@ def test_distributed_cc_long_chain(ray_session):
     assert (df.cluster_id == 0).all()
 
 
+def test_distributed_cc_raises_at_max_iters(ray_session):
+    """A fixpoint not reached within ``max_iters`` rounds is an error,
+    never a silent partial labelling."""
+    import pandas as pd
+    import ray.data as rd
+    from address_address_matching_ray.stages.cluster import connected_components
+
+    n = 400
+    edges = rd.from_pandas(pd.DataFrame({
+        "left_id": pd.array(range(n - 1), dtype="uint64"),
+        "right_id": pd.array(range(1, n), dtype="uint64")}))
+    with pytest.raises(RuntimeError, match="max_iters=1"):
+        connected_components(edges, num_partitions=2, max_iters=1,
+                             driver_threshold=0)
+
+
+def test_edges_one_row_per_pair(linkage_run):
+    """Candidate pairs are deduped before scoring: each pair is scored
+    once, so ``edges`` holds one row per (left_id, right_id)."""
+    edges, _, _ = linkage_run
+    assert len(edges)
+    assert not edges.duplicated(["left_id", "right_id"]).any()
+
+
 def test_edges_golden_hash(linkage_run):
     """Frozen content gate for the accepted-edge set (the
     ``linkage_edges`` query surface has no SQL oracle — fuzzy scoring
