@@ -58,8 +58,8 @@ def cmd_link(args) -> int:
     cfg = _load_cfg(args.config)
     pages = rd.read_parquet(args.pages)
     fp = input_fingerprint([args.pages])
-    # parquet row counts are metadata-only — feeds shuffle sizing and
-    # the auto-spill decision
+    # parquet row counts are metadata-only — feeds the auto-spill
+    # decision
     res = run_linkage(pages, cfg=cfg, checkpoint_root=args.checkpoint,
                       input_fp=fp, buckets=args.buckets,
                       approx_rows=pages.count())

@@ -9,12 +9,17 @@
           ─► iterative min-label propagation → clusters     [shuffles 3..k]
           ─► metrics aggregates (tier distribution, A1-A4)
 
-Every wide step goes through hash partitioning; per-stage checkpoints
-+ lineage make re-runs resumable (state/checkpoint.py).
+Every wide step goes through hash partitioning.  ``run_linkage`` is one
+plan: each stage that is read again is persisted by one rule — pinned
+in the object store, or, under a checkpoint root, written as a Parquet
+checkpoint with lineage so re-runs resume (state/checkpoint.py).
 """
 
 from __future__ import annotations
 
+import atexit
+import shutil
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +34,7 @@ from address_address_matching_ray.stages.extract import extract_stage
 from address_address_matching_ray.stages.keys import keys_stage
 from address_address_matching_ray.stages.pairs import pairs_stage
 from address_address_matching_ray.stages.score import score_stage
+from address_address_matching_ray.state.checkpoint import CheckpointManager
 
 
 @dataclass
@@ -37,6 +43,14 @@ class LinkageResult:
     edges: object
     clusters: object
     from_checkpoint: dict
+
+
+def _spill_root() -> str:
+    """A throwaway checkpoint root, removed when the interpreter exits
+    (the returned Datasets read from it until then)."""
+    root = tempfile.mkdtemp(prefix="linkage_spill_")
+    atexit.register(shutil.rmtree, root, ignore_errors=True)
+    return root
 
 
 def run_linkage(pages_ds, cfg: PipelineConfig | None = None,
@@ -49,21 +63,27 @@ def run_linkage(pages_ds, cfg: PipelineConfig | None = None,
                 doc_universe=None):
     """pages Dataset → (extracted, edges, clusters) Datasets.
 
+    One plan: extract → keys → edges → clusters.  Every stage that is
+    read again is persisted by one rule: pinned in the object store
+    (``materialize``) without ``checkpoint_root``, and with it written
+    as a Parquet checkpoint with lineage (``extracted``, ``keys``,
+    ``edges``, ``clusters``) that re-runs reuse.  The key table is read
+    twice (hot-key pass 0 and pair generation), so it is always
+    persisted; its size for shuffle sizing comes from that persisted
+    copy.
+
     ``doc_universe``: optional Dataset with a ``doc_id`` column that is
     CHEAP to re-produce (e.g. ``read_parquet(pages_dir,
-    columns=["doc_id"])``) covering every input page.  When given (and
-    not checkpointing), singleton attachment reads the universe from it
-    instead of from materialized ``extracted`` rows, which lets the
-    extract→keys chain run as one fused streaming stage.
+    columns=["doc_id"])``) covering every input page.  When given,
+    singleton attachment reads the universe from it, so ``extracted``
+    has one consumer and stays lazy: extract fuses with key derivation
+    into one streaming stage, and ``res.extracted`` re-executes if
+    consumed.  Without it ``extracted`` is the universe and is
+    persisted.
 
-    With ``checkpoint_root`` set, ``extracted``/``edges``/``clusters``
-    are checkpointed with lineage and reused on re-runs.
-
-    Without it, reused intermediates are pinned in the object store —
-    the right call for small/medium runs, a spill storm at 10^9+ rows.
-    Callers that know the input is big pass ``approx_rows``; above
-    ``auto_spill_rows`` the pipeline routes through a throwaway
-    checkpoint directory (parquet spill-through) instead of pinning.
+    ``approx_rows`` only triggers auto-spill: above ``auto_spill_rows``
+    a run without ``checkpoint_root`` checkpoints into a throwaway
+    directory (Parquet spill-through), removed at interpreter exit.
     The 8M default follows the pinned-bytes math on a 128-GiB node:
     extracted + keys + edges ≈ 2.5 KB/page ⇒ 8M pages ≈ 20 GB ≈ half
     the default object store — beyond that, pinning trades streaming
@@ -74,59 +94,52 @@ def run_linkage(pages_ds, cfg: PipelineConfig | None = None,
 
     if (checkpoint_root is None and approx_rows is not None
             and approx_rows > auto_spill_rows):
-        import tempfile
-
-        checkpoint_root = tempfile.mkdtemp(prefix="linkage_spill_")
+        checkpoint_root = _spill_root()
         input_fp = input_fp or f"auto_spill_{approx_rows}"
 
     import ray.data as rd
 
     ctx = rd.DataContext.get_current()
     ctx.target_max_block_size = cfg.target_max_block_size_mb * 1024 * 1024
+    mgr = (CheckpointManager(checkpoint_root, input_fp, cfg.fingerprint())
+           if checkpoint_root else None)
 
-    def build_extracted():
-        return extract_stage(pages_ds)
+    def persist(stage: str, build, part_by: str | None = None):
+        """Pin ``build()`` or checkpoint it as ``<root>/<stage>``;
+        ``part_by`` lays a checkpoint out as one ``part=`` directory per
+        hash range of that id column."""
+        if mgr is None:
+            return build().materialize()
+        if part_by is None:
+            ds, hit[stage] = mgr.load_or_compute(stage, build)
+            return ds
 
-    def build_edges(extracted, pin_keys: bool = False):
-        keys = keys_stage(extracted, cfg)
-        keys_size = None
-        hot_input = None
-        if pin_keys:
-            # two consumers (hot-key count + pair generation): pinning
-            # the key table saves one full re-derivation.  Only in the
-            # no-checkpoint (small/medium) path — the checkpointed path
-            # computes edges once and re-derivation is the scale-safe
-            # shape for the object store.
-            keys = keys.materialize()
-            keys_size = keys.size_bytes()
-        else:
-            if approx_rows is not None:
-                # rough shuffle-partition sizing hint: ~8 key rows/doc
-                # at ~135 B/row (measured on the synthetic corpus)
-                keys_size = approx_rows * 8 * 135
-            # lazy keys re-derive per consumer; give pass 0 (hot-key
-            # counts) a doc-PRE-sampled derivation so it parses 1/8 of
-            # the corpus instead of deriving every key and discarding
-            # 7/8 post-hoc (identical sampled rows either way — a doc's
-            # key rows all carry its doc_id; 378 s → ~1/8 the derive at
-            # 16M pages)
-            from address_address_matching_ray.stages.pairs import (
-                HOT_SAMPLE_MOD,
-            )
+        def add_part(df: pd.DataFrame) -> pd.DataFrame:
+            df = df.copy()
+            df["part"] = (df[part_by].to_numpy(dtype="uint64")
+                          % np.uint64(num_partitions)).astype("int64")
+            return df
 
-            def doc_sample(t, _m=HOT_SAMPLE_MOD):
-                import numpy as np
-                import pyarrow as pa
+        ds, hit[stage] = mgr.load_or_compute(
+            stage, lambda: build().map_batches(add_part,
+                                               batch_format="pandas"),
+            partition_col="part")
+        return ds
 
-                ids = t["doc_id"].to_numpy(zero_copy_only=False)
-                return t.filter(pa.array(ids % _m == 0))
+    if doc_universe is None:
+        extracted = persist("extracted", lambda: extract_stage(pages_ds))
+        universe = extracted
+    else:
+        extracted = extract_stage(pages_ds)
+        universe = doc_universe.select_columns(["doc_id"])
 
-            hot_input = keys_stage(
-                extracted.map_batches(doc_sample, batch_format="pyarrow"),
-                cfg)
+    keys = persist("keys", lambda: keys_stage(extracted, cfg))
+    keys_size = (mgr.raw_bytes("keys") if mgr is not None
+                 else keys.size_bytes())
+
+    def build_edges():
         pairs = pairs_stage(keys, cfg, buckets=buckets,
-                            keys_size_bytes=keys_size,
-                            hot_keys_input=hot_input)
+                            keys_size_bytes=keys_size)
         # streaming split-repartition between pair generation and
         # scoring: pair blocks come out of the bucketed groupby one per
         # group and up to ~4× skewed, and Ray fuses map_groups with the
@@ -135,67 +148,20 @@ def run_linkage(pages_ds, cfg: PipelineConfig | None = None,
         # rides the fattest bucket.  Splitting to fixed-row blocks
         # (no exchange, no barrier) lets the scorer fan out evenly
         # across every core regardless of bucket skew.
-        pairs = pairs.repartition(
-            target_num_rows_per_block=cfg.score_block_rows)
-        edges = score_stage(pairs, cfg)
-        if checkpoint_root:
-            import numpy as np
-            import pandas as pd
+        return score_stage(pairs.repartition(
+            target_num_rows_per_block=cfg.score_block_rows), cfg)
 
-            def add_part(df: pd.DataFrame) -> pd.DataFrame:
-                df = df.copy()
-                df["part"] = (df["left_id"].to_numpy(dtype="uint64")
-                              % np.uint64(num_partitions)).astype("int64")
-                return df
+    edges = persist("edges", build_edges, part_by="left_id")
 
-            edges = edges.map_batches(add_part, batch_format="pandas")
-        return edges
-
-    def build_clusters(universe, edges):
-        accepted = edges.filter(expr="accepted == True")
-        labels = connected_components(accepted,
+    def build_clusters():
+        labels = connected_components(edges.filter(expr="accepted == True"),
                                       num_partitions=num_partitions,
                                       driver_threshold=cc_driver_threshold,
                                       assume_unique=True)
-        return attach_singletons(universe, labels, num_partitions=num_partitions)
+        return attach_singletons(universe, labels,
+                                 num_partitions=num_partitions)
 
-    if checkpoint_root:
-        from address_address_matching_ray.state.checkpoint import CheckpointManager
-
-        mgr = CheckpointManager(checkpoint_root, input_fp, cfg.fingerprint())
-        extracted, hit["extracted"] = mgr.load_or_compute("extracted", build_extracted)
-        edges, hit["edges"] = mgr.load_or_compute(
-            "edges", lambda: build_edges(extracted),
-            partition_col="part")  # one dir per left_id hash range
-        clusters, hit["clusters"] = mgr.load_or_compute(
-            "clusters", lambda: build_clusters(extracted, edges))
-    else:
-        # No checkpoint dir: pin the reused intermediates in the object
-        # store instead.  ``connected_components`` consumes ``edges``
-        # from two branches and iterates — leaving them lazy would
-        # re-execute the whole upstream lineage per branch per
-        # iteration.
-        extracted = build_extracted()
-        if doc_universe is not None:
-            # Caller supplied a cheap doc_id universe (e.g. a
-            # column-pruned re-read of the pages parquet): ``extracted``
-            # then has a single consumer (key derivation), so it stays
-            # LAZY — extract fuses with the key map into one streaming
-            # stage (one fewer barrier; 16 idle cores during a barrier
-            # ramp cost more than 4, so barriers tax the wide leg of
-            # the scaling pair hardest) and ~1 KB/page of extracted
-            # rows never occupies the object store.  ``res.extracted``
-            # is returned lazy and re-executes if consumed.
-            edges = build_edges(extracted, pin_keys=True).materialize()
-            clusters = build_clusters(
-                doc_universe.select_columns(["doc_id"]), edges)
-        else:
-            # ``extracted`` has two consumers (keys + singleton attach)
-            # and has already dropped ``html``, so pin it.
-            extracted = extracted.materialize()
-            edges = build_edges(extracted, pin_keys=True).materialize()
-            clusters = build_clusters(extracted, edges)
-
+    clusters = persist("clusters", build_clusters)
     return LinkageResult(extracted=extracted, edges=edges, clusters=clusters,
                          from_checkpoint=hit)
 

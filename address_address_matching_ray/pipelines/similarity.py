@@ -328,6 +328,34 @@ def ivf_topk(emb_ds, query_vecs: np.ndarray, k: int = 10,
         final_topk, batch_format="pandas")
 
 
+def _rerank_batch(m: np.ndarray, ids: np.ndarray, q: np.ndarray,
+                  short: tuple, id_col: str) -> pd.DataFrame:
+    """Exact re-rank of one batch: cosine scores of the batch rows whose
+    id is in a query's sorted uint64 shortlist (``short[qi]``).  Ids
+    are compared as uint64 (an int64/uint64 mix promotes to float64 and
+    conflates ids above 2⁵³); empty shortlists are skipped."""
+    uids = ids.astype("uint64")
+    frames = []
+    for qi, sl in enumerate(short):
+        if not len(sl):
+            continue
+        pos = np.minimum(np.searchsorted(sl, uids), len(sl) - 1)
+        hit = np.flatnonzero(sl[pos] == uids)
+        if not len(hit):
+            continue
+        sims = m[hit] @ q[qi]
+        frames.append(pd.DataFrame({
+            "query_idx": np.full(len(hit), qi, dtype="int64"),
+            id_col: ids[hit],
+            "score": sims.astype("float64")}))
+    if not frames:
+        return pd.DataFrame({
+            "query_idx": pd.array([], dtype="int64"),
+            id_col: pd.Series([], dtype=ids.dtype),
+            "score": pd.array([], dtype="float64")})
+    return pd.concat(frames, ignore_index=True)
+
+
 def pq_topk(emb_ds, query_vecs: np.ndarray, k: int = 5,
             m_subs: int = 4, n_cent: int = 16, iters: int = 4,
             rerank: int = 128,
@@ -466,24 +494,8 @@ def pq_topk(emb_ds, query_vecs: np.ndarray, k: int = 5,
         def __call__(self, t) -> pd.DataFrame:
             m = _normalize_rows(_matrix_from_arrow(t[vec_col])
                                 .astype(np.float64))
-            ids = t[id_col].to_numpy(zero_copy_only=False)
-            frames = []
-            for qi, sl in enumerate(self.short):
-                pos = np.minimum(np.searchsorted(sl, ids), len(sl) - 1)
-                hit = np.flatnonzero((len(sl) > 0) & (sl[pos] == ids))
-                if not len(hit):
-                    continue
-                sims = m[hit] @ self.q[qi]
-                frames.append(pd.DataFrame({
-                    "query_idx": np.full(len(hit), qi, dtype="int64"),
-                    id_col: ids[hit],
-                    "score": sims.astype("float64")}))
-            if not frames:
-                return pd.DataFrame({
-                    "query_idx": pd.array([], dtype="int64"),
-                    id_col: pd.Series([], dtype=ids.dtype),
-                    "score": pd.array([], dtype="float64")})
-            return pd.concat(frames, ignore_index=True)
+            return _rerank_batch(m, t[id_col].to_numpy(zero_copy_only=False),
+                                 self.q, self.short, id_col)
 
     exact = emb_ds.map_batches(Rerank, batch_format="pyarrow",
                                batch_size=4096, concurrency=(1, 8))

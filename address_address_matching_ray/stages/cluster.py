@@ -71,7 +71,11 @@ def connected_components(edges_ds, num_partitions: int = 16,
     Only edge endpoints appear; isolated docs are attached by
     ``attach_singletons``.  The distributed fixpoint raises
     ``RuntimeError`` if it has not converged after ``max_iters`` rounds.
+
+    The slim id pairs are materialized once up front, so a lazy input's
+    upstream runs once for both the count and the pull.
     """
+    edges_ds = edges_ds.select_columns(["left_id", "right_id"]).materialize()
     n_edges = edges_ds.count()
     if n_edges == 0:
         import ray.data as rd

@@ -222,16 +222,10 @@ def _hash_strings(arr) -> np.ndarray:
     return pl.from_arrow(arr).hash(seed=0).to_numpy().astype(np.uint64)
 
 
-#: doc_id sample modulus shared by pass 0 and callers that pre-sample
-#: upstream of key derivation (see ``pairs_stage(hot_keys_input=...)``).
-HOT_SAMPLE_MOD = 8
-
-
 def _find_hot_keys(keys_ds, threshold: int, buckets: int = 64,
-                   sample_mod: int = HOT_SAMPLE_MOD,
+                   sample_mod: int = 8,
                    keys_size_bytes: int | None = None,
-                   driver_bytes_threshold: int = 2**32,
-                   already_sampled: bool = False) -> set:
+                   driver_bytes_threshold: int = 2**32) -> set:
     """Pass 0: keys whose row count exceeds ``threshold``.
 
     Shape matters: a ``groupby(block_key).sum`` would create millions of
@@ -246,18 +240,8 @@ def _find_hot_keys(keys_ds, threshold: int, buckets: int = 64,
     threshold ≥ 1600 the sampled estimate's noise (±√(threshold/mod))
     cannot flip a materially hot key.  Sample keys stay stable across
     runs/retries, so salting decisions stay deterministic.
-
-    ``already_sampled``: the caller delivered a keys Dataset whose docs
-    are ALREADY the ``doc_id % sample_mod == 0`` sample (taken upstream
-    of key derivation, where it is ~``sample_mod``× cheaper when keys
-    are re-derived from a checkpoint rather than pinned).  The sampled
-    row sets are identical either way — every key row of a doc carries
-    the doc's id — so only the redundant filter is skipped; threshold
-    scaling still applies.
     """
-    if already_sampled:
-        threshold = max(2, threshold // sample_mod)
-    elif sample_mod > 1:
+    if sample_mod > 1:
         assert sample_mod & (sample_mod - 1) == 0, "sample_mod: power of 2"
         mask = np.uint64(sample_mod - 1)
 
@@ -316,8 +300,7 @@ def _find_hot_keys(keys_ds, threshold: int, buckets: int = 64,
 
 def pairs_stage(keys_ds, cfg: PipelineConfig | None = None,
                 buckets: int = 64, salt_hot: bool = True,
-                keys_size_bytes: int | None = None,
-                hot_keys_input=None):
+                keys_size_bytes: int | None = None):
     """keys → deduped candidate pairs.
 
     Shuffle #0 (optional, combiner-pre-aggregated): count keys → hot set.
@@ -334,27 +317,17 @@ def pairs_stage(keys_ds, cfg: PipelineConfig | None = None,
     holding a deterministic ~1/salt sample of the hot key's members
     (SURVEY §4.2: score cross-salt pairs against a capped sample).
 
-    ``hot_keys_input``: optional keys-shaped Dataset restricted to the
-    ``doc_id % HOT_SAMPLE_MOD == 0`` doc sample for pass 0.  Callers
-    whose keys are RE-DERIVED lazily (checkpoint spill-through) pass
-    ``keys_stage(extracted.filter(sample))`` here so pass 0 derives
-    keys for 1/8 of the corpus instead of deriving all keys and then
-    discarding 7/8 (key derivation dominated that pass — 378 s of a
-    1,298 s 16M-page run before this knob).
+    Pass 0 and shuffle #1 both read ``keys_ds``, so callers hand in a
+    persisted (pinned or checkpointed) key table, and its size as
+    ``keys_size_bytes`` — ``None`` sends pass 0 to its distributed path.
     """
     cfg = cfg or PipelineConfig()
 
     hot: set = set()
     if salt_hot:
-        # pass 0 consumes keys lazily: recomputing the (cheap, stateless)
-        # key derivation from the materialized/checkpointed upstream is
-        # cheaper than pinning the full key table in the object store
-        hot = _find_hot_keys(hot_keys_input if hot_keys_input is not None
-                             else keys_ds,
-                             threshold=8 * cfg.max_block_size,
+        hot = _find_hot_keys(keys_ds, threshold=8 * cfg.max_block_size,
                              buckets=buckets,
-                             keys_size_bytes=keys_size_bytes,
-                             already_sampled=hot_keys_input is not None)
+                             keys_size_bytes=keys_size_bytes)
 
     import ray
 

@@ -25,7 +25,8 @@ import uuid
 
 def _partition_stats(data_path: str) -> dict:
     """Per-partition-directory row/byte/file counts from parquet footers
-    (metadata-only reads — no data scan)."""
+    (metadata-only reads — no data scan).  ``bytes`` is on disk,
+    ``raw_bytes`` the footers' uncompressed column-chunk bytes."""
     import pyarrow.parquet as pq
 
     stats: dict[str, dict] = {}
@@ -36,11 +37,15 @@ def _partition_stats(data_path: str) -> dict:
             if not fn.endswith(".parquet"):
                 continue
             fp = os.path.join(root, fn)
-            s = stats.setdefault(key, {"rows": 0, "bytes": 0, "files": 0})
+            s = stats.setdefault(key, {"rows": 0, "bytes": 0,
+                                       "raw_bytes": 0, "files": 0})
             try:
-                s["rows"] += pq.ParquetFile(fp).metadata.num_rows
+                md = pq.ParquetFile(fp).metadata
             except OSError:
                 continue
+            s["rows"] += md.num_rows
+            s["raw_bytes"] += sum(md.row_group(i).total_byte_size
+                                  for i in range(md.num_row_groups))
             s["bytes"] += os.path.getsize(fp)
             s["files"] += 1
     return stats
@@ -71,6 +76,12 @@ class CheckpointManager:
         return (m.get("input_fingerprint") == self.input_fp
                 and m.get("config_fingerprint") == self.config_fp
                 and m.get("complete") is True)
+
+    def raw_bytes(self, stage: str) -> int:
+        """Uncompressed bytes of a written stage, read from its parquet
+        footers — the size a consumer of the checkpoint works on."""
+        return sum(p["raw_bytes"]
+                   for p in _partition_stats(self._data_path(stage)).values())
 
     def load_or_compute(self, stage: str, compute, *,
                         partition_col: str | None = None,

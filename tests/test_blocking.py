@@ -148,34 +148,3 @@ def test_hot_key_salting(ray_session):
     out2 = pairs_stage(rd.from_pandas(rows), cfg, buckets=4,
                        salt_hot=False).to_pandas()
     assert set(out2.block_key) == {"mega"}
-
-
-def test_hot_keys_presampled_input_parity(ray_session):
-    """pairs_stage(hot_keys_input=...) — the checkpoint-path pass-0
-    shortcut — yields the same pair set as the default post-derivation
-    sample: a doc's key rows all carry its doc_id, so sampling docs
-    before key derivation selects exactly the rows the in-pass filter
-    would keep."""
-    import ray.data as rd
-    from address_address_matching_ray.stages.pairs import (
-        HOT_SAMPLE_MOD, pairs_stage,
-    )
-
-    cfg = PipelineConfig(max_block_size=4, max_pairs_per_block=40,
-                         salt_buckets=3)
-    rows = pd.concat([_key_rows("mega", list(range(120))),
-                      _key_rows("cold", [7, 300, 301])],
-                     ignore_index=True)
-
-    base = pairs_stage(rd.from_pandas(rows), cfg, buckets=4,
-                       salt_hot=True).to_pandas()
-    pre = rows[rows["doc_id"].to_numpy(dtype="uint64")
-               % HOT_SAMPLE_MOD == 0].reset_index(drop=True)
-    out = pairs_stage(rd.from_pandas(rows), cfg, buckets=4, salt_hot=True,
-                      hot_keys_input=rd.from_pandas(pre)).to_pandas()
-
-    key = ["left_id", "right_id", "block_key"]
-    assert (set(map(tuple, out[key].itertuples(index=False)))
-            == set(map(tuple, base[key].itertuples(index=False))))
-    # the hot key really was salted on both paths
-    assert any(k.startswith("mega#s") for k in out.block_key)

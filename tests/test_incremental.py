@@ -60,6 +60,27 @@ def test_incremental_matches_full_rerun(ray_session):
     assert len(new_df) == n // 2
 
 
+def test_keys_checkpoint_feeds_incremental(ray_session, tmp_path):
+    """``run_linkage``'s ``keys`` checkpoint is the prior key table that
+    ``incremental_linkage`` takes as ``prior_keys_ds``."""
+    import os
+
+    import ray.data as rd
+
+    n, seed = 400, 23
+    prior_pages, new_pages = _split(n, seed)
+    root = str(tmp_path / "ckpt")
+    prior = run_linkage(prior_pages, checkpoint_root=root, input_fp="prior",
+                        buckets=8, num_partitions=4)
+    inc = incremental_linkage(
+        new_pages, prior.clusters,
+        prior_keys_ds=rd.read_parquet(os.path.join(root, "keys")),
+        buckets=8, num_partitions=4)
+    full = run_linkage(synth_pages(n, seed=seed), buckets=8,
+                       num_partitions=4)
+    assert _canon(inc.clusters).equals(_canon(full.clusters))
+
+
 def test_incremental_forced_shuffle_paths_match(ray_session):
     """broadcast_threshold=0 pushes every small-side gate onto the
     bucketed membership/equi-join fallbacks; output must be identical

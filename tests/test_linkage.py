@@ -112,14 +112,14 @@ def test_checkpoint_resume(ray_session, tmp_path):
     r1 = run_linkage(pages, checkpoint_root=root, input_fp="n300s9",
                      buckets=4, num_partitions=2)
     c1 = r1.clusters.to_pandas().sort_values("doc_id").reset_index(drop=True)
-    assert r1.from_checkpoint == {"extracted": False, "edges": False,
-                                  "clusters": False}
+    assert r1.from_checkpoint == {"extracted": False, "keys": False,
+                                  "edges": False, "clusters": False}
 
     # resume: everything valid → all stages skipped, identical output
     r2 = run_linkage(synth_pages(300, seed=9), checkpoint_root=root,
                      input_fp="n300s9", buckets=4, num_partitions=2)
-    assert r2.from_checkpoint == {"extracted": True, "edges": True,
-                                  "clusters": True}
+    assert r2.from_checkpoint == {"extracted": True, "keys": True,
+                                  "edges": True, "clusters": True}
     c2 = r2.clusters.to_pandas().sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(c1, c2)
 
@@ -128,8 +128,8 @@ def test_checkpoint_resume(ray_session, tmp_path):
     shutil.rmtree(os.path.join(root, "clusters"))
     r3 = run_linkage(synth_pages(300, seed=9), checkpoint_root=root,
                      input_fp="n300s9", buckets=4, num_partitions=2)
-    assert r3.from_checkpoint == {"extracted": True, "edges": True,
-                                  "clusters": False}
+    assert r3.from_checkpoint == {"extracted": True, "keys": True,
+                                  "edges": True, "clusters": False}
     c3 = r3.clusters.to_pandas().sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(c1, c3)
 
@@ -149,6 +149,53 @@ def test_checkpoint_resume(ray_session, tmp_path):
     assert len(parts) >= 2                      # partitioned by left_id hash
     assert sum(p["rows"] for p in parts.values()) == edges_m["rows"]
     assert all(p["bytes"] > 0 and p["files"] >= 1 for p in parts.values())
+
+
+def test_checkpoint_plan_derives_keys_once(ray_session, tmp_path,
+                                           monkeypatch):
+    """The key table is a persisted stage: with a checkpoint root, pass
+    0 and pair generation read the one ``keys`` checkpoint instead of
+    each re-deriving keys."""
+    from address_address_matching_ray.pipelines import linkage
+
+    calls = []
+    real = linkage.keys_stage
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linkage, "keys_stage", counting)
+    res = linkage.run_linkage(synth_pages(300, seed=9),
+                              checkpoint_root=str(tmp_path / "ckpt"),
+                              input_fp="n300s9", buckets=4, num_partitions=2)
+    assert res.clusters.count() == 300
+    assert len(calls) == 1
+
+
+def test_connected_components_pulls_input_once(ray_session, tmp_path):
+    """A lazy edge list's upstream runs once: the edge count and the
+    driver pull both read one materialized slim table."""
+    import ray.data as rd
+    from address_address_matching_ray.stages.cluster import (
+        connected_components,
+    )
+
+    log = tmp_path / "batches.log"
+
+    def tap(df: pd.DataFrame) -> pd.DataFrame:
+        with open(log, "a") as f:
+            f.write("batch\n")
+        return df
+
+    edges = rd.from_pandas(pd.DataFrame({
+        "left_id": pd.array([1, 2, 5], dtype="uint64"),
+        "right_id": pd.array([2, 3, 6], dtype="uint64")})) \
+        .map_batches(tap, batch_format="pandas", batch_size=None)
+    labels = connected_components(edges).to_pandas()
+    assert dict(zip(labels.doc_id, labels.cluster_id)) == {
+        1: 1, 2: 1, 3: 1, 5: 5, 6: 5}
+    assert log.read_text().splitlines() == ["batch"]
 
 
 def test_self_match_roundtrip(linkage_run):

@@ -494,6 +494,42 @@ def test_auto_spill_path_matches_pinned(ray_session):
     pd.testing.assert_frame_equal(a, b)
 
 
+def test_auto_spill_root_removed_at_exit(tmp_path):
+    """The throwaway spill-through root lives until interpreter exit and
+    no longer: a process that auto-spills leaves no linkage_spill_* dir
+    in its temp dir."""
+    import os
+    import subprocess
+    import sys
+    import tempfile
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = """
+import os, ray
+ray.init(address="local", num_cpus=1, object_store_memory=256 * 2**20,
+         include_dashboard=False, logging_level="ERROR")
+from address_address_matching_ray.pipelines.linkage import run_linkage
+from address_address_matching_ray.sources.synth import synth_pages
+res = run_linkage(synth_pages(50, seed=3), buckets=2, num_partitions=2,
+                  approx_rows=50, auto_spill_rows=10)
+assert res.clusters.count() == 50
+print(sorted(res.from_checkpoint))
+print(sorted(os.listdir(os.environ["TMPDIR"])))
+ray.shutdown()
+"""
+    # Ray's session dir follows TMPDIR unless RAY_TMPDIR is set; keep it
+    # out of tmp_path (socket paths have a length limit)
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=repo,
+               RAY_TMPDIR=tempfile.gettempdir())
+    out = subprocess.run([sys.executable, "-c", script], cwd=repo, env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr[-2000:]
+    lines = out.stdout.strip().splitlines()
+    assert "clusters" in lines[-2] and "linkage_spill_" in lines[-1]
+    assert not [p for p in os.listdir(tmp_path)
+                if p.startswith("linkage_spill_")]
+
+
 def test_ivf_topk_recall(ray_session):
     """IVF coarse-quantizer path: recall@5 vs brute force ≥ 0.6 with
     generous probing on the small fixture (same bar as the LSH path)."""

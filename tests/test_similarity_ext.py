@@ -139,3 +139,29 @@ def test_pq_topk_recall_and_self(ray_session):
         recs.append(len(set(got["vec_id"])
                         & set(bf[bf.query_idx == qi]["vec_id"])) / 5)
     assert sum(recs) / len(recs) >= 0.5, recs
+
+
+def test_pq_rerank_batch_skips_empty_and_compares_uint64():
+    """The exact re-rank kernel: a query whose shortlist is empty or
+    misses the batch contributes no rows (an empty shortlist used to
+    raise IndexError), and ids above 2⁵³ match exactly (an int64 vs
+    uint64 compare used to promote both to float64)."""
+    from address_address_matching_ray.pipelines.similarity import (
+        _rerank_batch,
+    )
+
+    big = 2**53
+    ids = np.array([big, big + 1, 7], dtype=np.int64)
+    m = np.eye(3)
+    q = np.eye(3)
+    short = (np.array([], dtype="uint64"),             # empty shortlist
+             np.array([big + 1], dtype="uint64"),      # one exact hit
+             np.array([3, 4], dtype="uint64"))         # misses the batch
+    out = _rerank_batch(m, ids, q, short, "vec_id")
+    assert out["query_idx"].tolist() == [1]
+    assert out["vec_id"].tolist() == [big + 1]
+    assert out["vec_id"].dtype == np.int64
+    assert out["score"].tolist() == [1.0]
+
+    none = _rerank_batch(m, ids, q, short[:1], "vec_id")
+    assert len(none) == 0 and none["vec_id"].dtype == np.int64
