@@ -8,7 +8,7 @@ Ray Data pipelines over zero-copy Arrow blocks:
 - blocking via canonical-URL keys, exact composite keys and MinHash-LSH
   bands materialized as a salted ``groupby`` shuffle (no search service)
 - tiered pairwise scoring (exact-hash short-circuit -> Indel/token-sort
-  fuzzy -> token Jaccard) in actor pools holding compiled scorers
+  fuzzy -> token Jaccard) in tasks over per-worker cached scorers
 - transitive clustering via iterative hash-partitioned label propagation
 - per-partition checkpoints + lineage metadata for resumable re-runs
 

@@ -147,16 +147,3 @@ class PipelineConfig:
         """Stable hash of the config — part of checkpoint lineage."""
         blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
-
-
-# Named presets — build_exact_match_config / build_matcher analog
-# (optimized.py:905-945).
-PRESETS: dict[str, dict] = {
-    "default": {},
-    "exact_match": {"min_similarity_threshold": 95.0, "edge_min_confidence": 95.0},
-    "lenient": {"min_similarity_threshold": 55.0, "edge_min_confidence": 70.0},
-}
-
-
-def preset(name: str = "default") -> PipelineConfig:
-    return PipelineConfig(**PRESETS[name])

@@ -337,12 +337,6 @@ def apply_unique_pairs(fn, a_strs, b_strs) -> np.ndarray:
     return vals[inv]
 
 
-def batch_jaccard(a_strs, b_strs) -> np.ndarray:
-    """Token-set Jaccard per pair (strings pre-normalized, ws-tokenized)."""
-    return np.fromiter((jaccard(a.split(), b.split()) for a, b in zip(a_strs, b_strs)),
-                       dtype=np.float64, count=len(a_strs))
-
-
 def levenshtein(a: str, b: str) -> int:
     """Levenshtein edit distance (insert/delete/substitute, unit
     costs) via Myers' bit-parallel algorithm (Myers, JACM 1999) for

@@ -142,15 +142,6 @@ def kll_quantile(values: np.ndarray, levels: np.ndarray, q: float) -> float:
     return float(v[min(idx, len(v) - 1)])
 
 
-def kll_rank(values: np.ndarray, levels: np.ndarray, x: float) -> float:
-    """Approximate normalized rank of ``x`` (fraction of mass < x)."""
-    if len(values) == 0:
-        return float("nan")
-    w = kll_weight(np.asarray(levels))
-    total = w.sum()
-    return float(w[np.asarray(values, dtype=np.float64) < x].sum() / total)
-
-
 # ── Bloom filter (mergeable membership sketch) ──────────────────────
 #
 # Standard Bloom construction (Bloom 1970; k probe positions via the

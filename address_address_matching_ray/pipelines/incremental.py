@@ -106,7 +106,7 @@ def incremental_linkage(new_pages_ds, prior_clusters_ds, *,
     import ray.data as rd
 
     from address_address_matching_ray.pipelines.join import (
-        equi_join, membership_join,
+        equi_join, membership_join, semi_join_ids,
     )
     from address_address_matching_ray.stages.cluster import (
         attach_singletons, connected_components,
@@ -251,9 +251,11 @@ def incremental_linkage(new_pages_ds, prior_clusters_ds, *,
             buckets=max(num_partitions, 16))
 
     # prior labels for old endpoints: semi-filter the corpus cluster
-    # table (streaming pass), then a delta-sized pull → broadcast map
-    old_labels = membership_join(
-        prior_clusters_ds, old_ep, id_col="doc_id", keep=True,
+    # table (streaming pass against the delta-sized endpoint set), then
+    # a delta-sized pull → broadcast map
+    old_labels = semi_join_ids(
+        prior_clusters_ds, old_ep, id_col="doc_id",
+        broadcast_threshold=broadcast_threshold,
         buckets=max(num_partitions, 16)).materialize()
     n_old = old_labels.count()
     if n_old <= broadcast_threshold:

@@ -319,6 +319,74 @@ def bucketed_sum(parts, key: str | list[str], value_cols: list[str], *,
             .groupby("_b").map_groups(red, batch_format="pandas"))
 
 
+def shuffle_partitions(size_bytes: int | None = None,
+                       target_bytes: int = 256 * 2**20,
+                       max_parts: int = 8192) -> int:
+    """Partition count for a wide shuffle: ≥ 2×cluster CPUs (keep every
+    core busy), ≥ size/target (bound per-partition bytes), ≤ max_parts.
+
+    Matters because Ray's sort shuffle creates in×out block fragments:
+    a 1-GB table arriving in 256 small blocks made 65k tiny shuffle
+    objects whose scheduling overhead dominated (45 s for ~15 s of
+    work); coalescing to 2×CPU blocks first cut the stage to 6 s.
+    """
+    import ray
+
+    cpus = int(ray.cluster_resources().get("CPU", 16)) if ray.is_initialized() else 16
+    parts = 2 * cpus
+    if size_bytes:
+        parts = max(parts, -(-size_bytes // target_bytes))
+    return min(parts, max_parts)
+
+
+# Size bound of the local exchange path (see ``bucket_exchange``): the
+# input size at which one local task's whole run costs what the
+# bucketed exchanges pay before moving a byte.  Measured on
+# ``pairs_stage`` (4-vCPU Xeon VM, Ray num_cpus=4, best of 3, synth
+# key tables of 1-62 MB in ~8k-row blocks), seconds local / bucketed:
+# 1 MB 0.19 / 1.36, 2 MB 0.19 / 1.27, 3.9 MB 0.26 / 1.44,
+# 7.8 MB 0.46 / 1.57, 15.6 MB 0.68 / 1.83, 31 MB 1.26 / 2.44,
+# 62 MB 2.82 / 4.24.  Fixed cost of the two bucketed exchanges
+# ≈ 1.1 s; the local task runs at ≈ 28 MB of keys/s; 1.1 s × 28 MB/s
+# ≈ 31 MB.  Below that the local task is done before the bucketed path
+# has paid its fixed cost, however many CPUs share its per-bucket
+# work.  Local still won at 62 MB here, so the bound is conservative;
+# it also caps what one task holds (a skewed key table can grow ~16×
+# into pairs).
+LOCAL_EXCHANGE_BYTES = 32 << 20
+
+
+def exchange_is_local(size_bytes: int | None) -> bool:
+    """Whether an exchange over ``size_bytes`` measured input bytes runs
+    as one local task (``None``: size unknown → bucketed)."""
+    return size_bytes is not None and size_bytes <= LOCAL_EXCHANGE_BYTES
+
+
+def bucket_exchange(ds, fn, bucket, size_bytes: int | None = None):
+    """Run a bucket-decomposable Arrow kernel over ``ds``, choosing the
+    exchange by measured input size.
+
+    ``fn`` (pa.Table → pa.Table) must give the same rows on the whole
+    table as on the union of its per-bucket calls — every group it
+    reduces lives in one bucket.  ``bucket`` (pa.Table → int64 array)
+    assigns rows to buckets.  At or below ``LOCAL_EXCHANGE_BYTES`` the
+    whole table goes to ONE task (no sample, sort or shuffle; ``bucket``
+    is never called); above it, or with the size unknown, rows are
+    tagged, repartitioned to ``shuffle_partitions(size_bytes)`` blocks
+    and one ``groupby(bucket)`` task runs ``fn`` per bucket."""
+    if exchange_is_local(size_bytes):
+        return ds.repartition(1).map_batches(
+            fn, batch_format="pyarrow", batch_size=None)
+
+    def tag(t: pa.Table) -> pa.Table:
+        return t.append_column("_b", pa.array(bucket(t), pa.int64()))
+
+    return (ds.map_batches(tag, batch_format="pyarrow")
+            .repartition(shuffle_partitions(size_bytes))
+            .groupby("_b").map_groups(lambda g: fn(g.drop(["_b"])),
+                                      batch_format="pyarrow"))
+
+
 def bucketed_distinct(ds, key: str, *, buckets: int = 64):
     """DISTINCT over an integer column at unbounded cardinality:
     per-batch ``np.unique`` combiner → hash-bucket shuffle → one

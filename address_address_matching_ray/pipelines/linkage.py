@@ -1,10 +1,11 @@
 """The flagship record-linkage pipeline (SURVEY §3.4 / §7.1).
 
     pages ─► extract/normalize/parse (stateless map_batches)
-          ─► blocking keys (actor pool: MinHash perms)      [shuffle-free]
+          ─► blocking keys (cached MinHash perms per worker) [shuffle-free]
           ─► bucketed groupby → candidate pairs (capped, salted-by-window,
-             canonicalized, one row per pair)               [shuffles 1-2]
-          ─► tiered scorer actor pool → edges, each pair
+             canonicalized, one row per pair)               [shuffles 1-2;
+             one local task when the key table is small     none ≤ bound]
+          ─► tiered scorer tasks → edges, each pair
              scored once                                    [shuffle-free]
           ─► iterative min-label propagation → clusters     [shuffles 3..k]
           ─► metrics aggregates (tier distribution, A1-A4)

@@ -52,6 +52,15 @@ def _normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / np.maximum(norms, 1e-12)
 
 
+def _topk_cols(dist: np.ndarray, ids: np.ndarray, kk: int) -> np.ndarray:
+    """Per row of ``dist`` (queries × batch), the batch columns of its
+    ``kk`` smallest values cut in (dist, id) order — the order of the
+    final ``ORDER BY dist, id`` — so ties at the cut keep the smallest
+    ids and a per-batch shortlist never depends on the block layout."""
+    by_id = np.argsort(ids, kind="stable")
+    return by_id[np.argsort(dist[:, by_id], axis=1, kind="stable")[:, :kk]]
+
+
 def brute_force_topk(emb_ds, query_vecs: np.ndarray, k: int = 10,
                      id_col: str = "vec_id", vec_col: str = "embedding",
                      concurrency=(1, 8)):
@@ -73,7 +82,7 @@ def brute_force_topk(emb_ds, query_vecs: np.ndarray, k: int = 10,
             sims = self.q @ m.T              # (nq, batch)
             ids = t[id_col].to_numpy(zero_copy_only=False)
             kk = min(k, sims.shape[1])
-            part = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
+            part = _topk_cols(-sims, ids, kk)
             rows = []
             for qi in range(sims.shape[0]):
                 for j in part[qi]:
@@ -458,7 +467,7 @@ def pq_topk(emb_ds, query_vecs: np.ndarray, k: int = 5,
             # than R rows per query per batch is pure shuffle waste
             # (nq × corpus rows without it — the measured stage cost)
             kk = min(self.rr, adist.shape[1])
-            part = np.argpartition(adist, kk - 1, axis=1)[:, :kk]
+            part = _topk_cols(adist, ids, kk)
             qi = np.repeat(np.arange(nq, dtype=np.int64), kk)
             cols = part.ravel()
             return pd.DataFrame({

@@ -26,6 +26,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from address_address_matching_ray.pipelines.join import bucket_exchange
+
 
 def _project(ds, mapping: dict[str, str]):
     """select+rename as an Arrow map_batches, forcing id columns back to
@@ -120,27 +122,19 @@ def connected_components(edges_ds, num_partitions: int = 16,
         minutes at 57M edges."""
         buckets = max(2 * num_partitions, 32)
 
-        def add_b(t: pa.Table) -> pa.Table:
+        def bucket(t: pa.Table) -> np.ndarray:
             node = t["node"].to_numpy(zero_copy_only=False).astype("uint64")
             with np.errstate(over="ignore"):
                 h = node * np.uint64(0x9E3779B97F4A7C15)
-            return t.append_column(
-                "_b", pa.array((h % np.uint64(buckets)).astype("int64")))
+            return (h % np.uint64(buckets)).astype("int64")
 
-        def bucket_min(g: pd.DataFrame) -> pd.DataFrame:
-            gm = (g.groupby("node", sort=False)["cluster_id"].min()
-                   .reset_index())
-            return pd.DataFrame({
-                "node": gm["node"].to_numpy(dtype="uint64"),
-                "cluster_id": gm["cluster_id"].to_numpy(dtype="uint64")})
+        def bucket_min(t: pa.Table) -> pa.Table:
+            m = t.group_by("node").aggregate([("cluster_id", "min")])
+            return pa.table({
+                "node": pc.cast(m["node"], pa.uint64()),
+                "cluster_id": pc.cast(m["cluster_id_min"], pa.uint64())})
 
-        from address_address_matching_ray.stages.pairs import shuffle_partitions
-
-        return (ds.map_batches(add_b, batch_format="pyarrow")
-                .repartition(shuffle_partitions())
-                .groupby("_b").map_groups(
-                    lambda g: bucket_min(g.drop(columns=["_b"])),
-                    batch_format="pandas"))
+        return bucket_exchange(ds, bucket_min, bucket)
 
     # initial label = min(self, min neighbor) — first propagation free
     def init_label(df: pd.DataFrame) -> pd.DataFrame:
@@ -186,27 +180,25 @@ def connected_components(edges_ds, num_partitions: int = 16,
 def dedup_edge_pairs(pairs_ds, buckets: int = 64,
                      size_bytes: int | None = None):
     """Distributed (left_id, right_id) pair dedup — the one pair-hash
-    exchange (shuffle #2 of ``pairs_stage``): bucket rows by a hash of
-    the pair, then one Arrow sort/mask per bucket keeps the full row
-    with max specificity (ties → smallest block_key).  Pairs co-blocked
-    under several keys thus reach the scorer once."""
+    exchange (shuffle #2 of ``pairs_stage`` above the local bound):
+    bucket rows by a hash of the pair, then one Arrow sort/mask per
+    bucket keeps the full row with max specificity (ties → smallest
+    block_key).  Pairs co-blocked under several keys thus reach the
+    scorer once.  ``size_bytes`` sizes the exchange
+    (``bucket_exchange``)."""
     from address_address_matching_ray.stages.pairs import (
-        _dedup_pairs_bucket_arrow, shuffle_partitions,
+        _dedup_pairs_bucket_arrow,
     )
 
-    def add_b(t: pa.Table) -> pa.Table:
+    def bucket(t: pa.Table) -> np.ndarray:
         with np.errstate(over="ignore"):
             h = (t["left_id"].to_numpy(zero_copy_only=False).astype("uint64")
                  * np.uint64(0x9E3779B97F4A7C15)
                  ^ t["right_id"].to_numpy(zero_copy_only=False).astype("uint64"))
-        return t.append_column(
-            "_b", pa.array((h % np.uint64(buckets)).astype("int64")))
+        return (h % np.uint64(buckets)).astype("int64")
 
-    return (pairs_ds.map_batches(add_b, batch_format="pyarrow")
-            .repartition(shuffle_partitions(size_bytes))
-            .groupby("_b").map_groups(
-                lambda g: _dedup_pairs_bucket_arrow(g.drop(["_b"])),
-                batch_format="pyarrow"))
+    return bucket_exchange(pairs_ds, _dedup_pairs_bucket_arrow, bucket,
+                           size_bytes)
 
 
 def _cc_arrays(left: np.ndarray, right: np.ndarray):
@@ -258,16 +250,13 @@ def condense_edges(edges_ds, buckets: int = 64, rounds: int = 2,
     the prelude that shrinks a >``driver_threshold`` edge list before
     the join-per-iteration fixpoint (or below the threshold entirely,
     onto the driver path)."""
-    from address_address_matching_ray.stages.pairs import shuffle_partitions
-
     cur = edges_ds.select_columns(["left_id", "right_id"])
 
-    def add_b(t: pa.Table) -> pa.Table:
+    def bucket(t: pa.Table) -> np.ndarray:
         with np.errstate(over="ignore"):
             h = (t["left_id"].to_numpy(zero_copy_only=False).astype("uint64")
                  * np.uint64(0x9E3779B97F4A7C15))
-        return t.append_column(
-            "_b", pa.array((h % np.uint64(buckets)).astype("int64")))
+        return (h % np.uint64(buckets)).astype("int64")
 
     def local_cc(t: pa.Table) -> pa.Table:
         l = t["left_id"].to_numpy(zero_copy_only=False).astype("uint64")
@@ -280,11 +269,7 @@ def condense_edges(edges_ds, buckets: int = 64, rounds: int = 2,
         })
 
     for _ in range(rounds):
-        cur = (cur.map_batches(add_b, batch_format="pyarrow")
-               .repartition(shuffle_partitions())
-               .groupby("_b").map_groups(
-                   lambda g: local_cc(g.drop(["_b"])),
-                   batch_format="pyarrow"))
+        cur = bucket_exchange(cur, local_cc, bucket)
     return cur
 
 

@@ -222,23 +222,15 @@ def _derive_task(batch: pa.Table, cfg: PipelineConfig) -> pa.Table:
 
 
 def keys_stage(extracted, cfg: PipelineConfig | None = None,
-               concurrency: int | tuple | None = None, batch_size: int = 2048,
-               use_actor_pool: bool = False):
-    """extracted → keys.  Default: stateless tasks + per-worker cache
-    (state is small, so the warm task pool beats spawning an actor pool).
-    ``use_actor_pool=True`` switches to an autoscaling actor pool — the
-    right shape when derivation state becomes heavy (e.g. a model)."""
+               batch_size: int = 2048):
+    """extracted → keys: stateless tasks + per-worker cache (state is
+    small, so the warm task pool beats spawning an actor pool)."""
     cfg = cfg or PipelineConfig()
     schema = extracted.schema()
     schema_names = schema.names if schema is not None else []
     if "reject_reason" in schema_names:
         # rows failing the require-filters never enter the shuffle (M18)
         extracted = extracted.filter(expr='reject_reason == ""')
-    if use_actor_pool:
-        return extracted.map_batches(
-            KeyDeriver, fn_constructor_kwargs={"cfg": cfg},
-            batch_format="pyarrow", batch_size=batch_size,
-            concurrency=concurrency or (1, 32))
     return extracted.map_batches(
         _derive_task, fn_kwargs={"cfg": cfg},
         batch_format="pyarrow", batch_size=batch_size)

@@ -6,7 +6,9 @@ with ONE hash-partitioned exchange: key rows are bucketed by
 vectorized task (the "explicit partitioned hash join" idiom — a
 ``groupby(bucket)`` shuffle whose groups are big enough that per-group
 Python overhead vanishes; millions of tiny per-key ``map_groups`` calls
-would be driver-side-loop slow at scale).
+would be driver-side-loop slow at scale).  A key table at or below
+``pipelines.join.LOCAL_EXCHANGE_BYTES`` skips the shuffle: the same
+kernel runs once over the whole table (``bucket_exchange``).
 
 Inside a bucket (all rows of a block land in the same bucket):
 
@@ -23,7 +25,8 @@ Inside a bucket (all rows of a block land in the same bucket):
   U:813-814; SURVEY §7.2 hard part 3).
 - pairs arising from several keys are deduped per bucket keeping max
   specificity; cross-bucket duplicates are impossible for the same key
-  and resolved by a second, pair-bucketed dedup pass for different keys.
+  and resolved by a second, pair-bucketed dedup pass for different keys
+  (not needed on the local path: its one "bucket" is the whole table).
 """
 
 from __future__ import annotations
@@ -35,26 +38,6 @@ import pyarrow.compute as pc
 
 from address_address_matching_ray.config import PipelineConfig
 from address_address_matching_ray.stages.keys import PAYLOAD_COLS
-
-
-def shuffle_partitions(size_bytes: int | None = None,
-                       target_bytes: int = 256 * 2**20,
-                       max_parts: int = 8192) -> int:
-    """Partition count for a wide shuffle: ≥ 2×cluster CPUs (keep every
-    core busy), ≥ size/target (bound per-partition bytes), ≤ max_parts.
-
-    Matters because Ray's sort shuffle creates in×out block fragments:
-    a 1-GB table arriving in 256 small blocks made 65k tiny shuffle
-    objects whose scheduling overhead dominated (45 s for ~15 s of
-    work); coalescing to 2×CPU blocks first cut the stage to 6 s.
-    """
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 16)) if ray.is_initialized() else 16
-    parts = 2 * cpus
-    if size_bytes:
-        parts = max(parts, -(-size_bytes // target_bytes))
-    return min(parts, max_parts)
 
 
 def _pair_indices(n: int, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray, int]:
@@ -207,8 +190,9 @@ def _empty_pairs_arrow() -> pa.Table:
     return _pairs_schema().empty_table()
 
 
-def _bucket_of(h: np.ndarray, buckets: int) -> np.ndarray:
-    return (h % np.uint64(buckets)).astype("int64")
+def _key_bucket(t: pa.Table, buckets: int) -> np.ndarray:
+    """Bucket of each key row: ``hash(block_key) % buckets``."""
+    return (_hash_strings(t["block_key"]) % np.uint64(buckets)).astype("int64")
 
 
 def _hash_strings(arr) -> np.ndarray:
@@ -253,25 +237,17 @@ def _find_hot_keys(keys_ds, threshold: int, buckets: int = 64,
         threshold = max(2, threshold // sample_mod)
 
     def partial(t: pa.Table) -> pa.Table:
-        # Arrow-native per-batch combiner: value_counts + bucket id,
-        # no pandas/object conversion (the shuffle then moves compact
+        # Arrow-native per-batch combiner: value_counts, no
+        # pandas/object conversion (the shuffle then moves compact
         # Arrow string buffers, not pickled object arrays)
         vc = pc.value_counts(t["block_key"].combine_chunks())
-        keys = vc.field("values")
-        h = _hash_strings(keys)
-        return pa.table({
-            "block_key": keys,
-            "c": pc.cast(vc.field("counts"), pa.int64()),
-            "_b": pa.array((h % np.uint64(buckets)).astype("int64")),
-        })
+        return pa.table({"block_key": vc.field("values"),
+                         "c": pc.cast(vc.field("counts"), pa.int64())})
 
-    def hot_in_bucket(g: pd.DataFrame) -> pa.Table:
-        sums = g.groupby("block_key", sort=False)["c"].sum()
-        hot = sums[sums > threshold]
-        # Arrow out: typed even when empty (size estimation on empty
-        # pandas object columns logs an error per block)
-        return pa.table({"block_key": pa.array(hot.index, pa.string()),
-                         "n": pa.array(hot.to_numpy(), pa.int64())})
+    def hot_in_bucket(t: pa.Table) -> pa.Table:
+        sums = t.group_by("block_key").aggregate([("c", "sum")])
+        return sums.filter(pc.greater(sums["c_sum"], threshold)) \
+                   .select(["block_key"])
 
     partials = keys_ds.select_columns(["block_key"]) \
                       .map_batches(partial, batch_format="pyarrow")
@@ -289,12 +265,11 @@ def _find_hot_keys(keys_ds, threshold: int, buckets: int = 64,
         sums = pdf.groupby("block_key", sort=False)["c"].sum()
         return set(sums.index[sums > threshold])
 
-    hot_pdf = (partials
-               .repartition(shuffle_partitions())
-               .groupby("_b").map_groups(
-                   lambda g: hot_in_bucket(g.drop(columns=["_b"])),
-                   batch_format="pandas")
-               .to_pandas())
+    from address_address_matching_ray.pipelines.join import bucket_exchange
+
+    hot_pdf = bucket_exchange(
+        partials, hot_in_bucket, lambda t: _key_bucket(t, buckets)
+    ).to_pandas()
     return set(hot_pdf["block_key"]) if len(hot_pdf) else set()
 
 
@@ -303,11 +278,16 @@ def pairs_stage(keys_ds, cfg: PipelineConfig | None = None,
                 keys_size_bytes: int | None = None):
     """keys → deduped candidate pairs.
 
-    Shuffle #0 (optional, combiner-pre-aggregated): count keys → hot set.
-    Shuffle #1: ``groupby(key_bucket)`` (key = hash(block_key) % B).
-    Shuffle #2: ``dedup_edge_pairs`` — ``groupby(pair_bucket)`` for
-    cross-key dedup, so every pair is scored once (smaller input: pairs
-    are already deduped per key-bucket).
+    Pass 0 (optional, combiner-pre-aggregated): count keys → hot set.
+    Then, when ``keys_size_bytes`` is at or below
+    ``pipelines.join.LOCAL_EXCHANGE_BYTES``, ONE task pairs the whole
+    key table and dedups it, so every pair is already unique.  Above
+    the bound (or with the size unknown), two exchanges:
+    shuffle #1, ``groupby(key_bucket)`` (key = hash(block_key) % B),
+    pairs and dedups per bucket; shuffle #2, ``dedup_edge_pairs``
+    (``groupby(pair_bucket)``), collapses pairs co-blocked under keys in
+    different buckets.  Either way every pair is scored once, and the
+    rows are identical: a block never spans buckets.
 
     Skew: keys hotter than ``8 × cfg.max_block_size`` are SALTED —
     ``key#s{doc_id % salt_buckets}`` spreads one mega-block's ingestion
@@ -317,9 +297,10 @@ def pairs_stage(keys_ds, cfg: PipelineConfig | None = None,
     holding a deterministic ~1/salt sample of the hot key's members
     (SURVEY §4.2: score cross-salt pairs against a capped sample).
 
-    Pass 0 and shuffle #1 both read ``keys_ds``, so callers hand in a
-    persisted (pinned or checkpointed) key table, and its size as
-    ``keys_size_bytes`` — ``None`` sends pass 0 to its distributed path.
+    Pass 0 and pair generation both read ``keys_ds``, so callers hand
+    in a persisted (pinned or checkpointed) key table, and its measured
+    size as ``keys_size_bytes`` — ``None`` sends pass 0 and the pair
+    exchange to their distributed paths.
     """
     cfg = cfg or PipelineConfig()
 
@@ -334,10 +315,10 @@ def pairs_stage(keys_ds, cfg: PipelineConfig | None = None,
     hot_ref = ray.put(hot)
     salt_n = max(2, cfg.salt_buckets)
 
-    def add_key_bucket(t: pa.Table) -> pa.Table:
+    def salt(t: pa.Table) -> pa.Table:
         # Arrow in/out: blocks stay compact string buffers through the
-        # groupby shuffle (pandas object blocks pickled to 5× the bytes
-        # and dominated the exchange)
+        # exchange (pandas object blocks pickled to 5× the bytes and
+        # dominated it)
         hotset = ray.get(hot_ref)
         if hotset:
             is_hot = pc.is_in(
@@ -363,16 +344,22 @@ def pairs_stage(keys_ds, cfg: PipelineConfig | None = None,
                 t = t.set_column(t.column_names.index("block_key"),
                                  "block_key", pa.array(bk, pa.string()))
                 t = pa.concat_tables([t, bridge])
-        h = _hash_strings(t["block_key"])
-        return t.append_column("key_bucket",
-                               pa.array(_bucket_of(h, buckets)))
+        return t
 
-    nparts = shuffle_partitions(keys_size_bytes)
-    bucketed = (keys_ds.map_batches(add_key_bucket, batch_format="pyarrow")
-                .repartition(nparts))
-    pairs = bucketed.groupby("key_bucket").map_groups(
-        lambda g: make_pairs_bucket_arrow(g.drop(["key_bucket"]), cfg),
-        batch_format="pyarrow")
+    from address_address_matching_ray.pipelines.join import (
+        bucket_exchange, exchange_is_local,
+    )
+
+    # a block (and so each of its pairs) never spans key buckets
+    pairs = bucket_exchange(
+        keys_ds.map_batches(salt, batch_format="pyarrow"),
+        lambda t: make_pairs_bucket_arrow(t, cfg),
+        lambda t: _key_bucket(t, buckets),
+        keys_size_bytes)
+    if exchange_is_local(keys_size_bytes):
+        # one task paired and deduped the whole key table: each pair
+        # already appears once
+        return pairs
 
     # one row per (left_id, right_id): a pair co-blocked under keys in
     # different key buckets is collapsed here, before scoring

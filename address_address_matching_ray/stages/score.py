@@ -1,9 +1,10 @@
-"""Tiered pair-scoring stage: an actor pool of compiled scorers.
+"""Tiered pair-scoring stage: stateless tasks over cached scorers.
 
-``pairs.map_batches(PairScorer, concurrency=N, batch_size=B)`` —
-SURVEY §7.1 step 4.  The actor holds the config + warm numpy state
-(SURVEY §2.3 ST3/ST5 analog); ``__call__`` decides a whole Arrow batch
-of pairs with the vectorized formulas in ``functions.scoring``
+``pairs.map_batches(_score_task, batch_size=B)`` — SURVEY §7.1 step 4.
+Each worker process caches one ``PairScorer`` per config, holding the
+config + warm numpy state (SURVEY §2.3 ST3/ST5 analog); ``__call__``
+decides a whole Arrow batch of pairs with the vectorized formulas in
+``functions.scoring``
 (constants from optimized.py:115-131, 617-737; U:760-945).
 
 Tier-0 short-circuit: pairs whose normalized full addresses are
@@ -103,9 +104,8 @@ class PairScorer:
         return pa.table(out)
 
 
-# per-worker-process scorer cache (see keys_stage: warm task pool beats
-# per-stage actor spawn for cheap state; actor pool stays available for
-# heavy-state scoring, e.g. model-based)
+# per-worker-process scorer cache (see keys_stage: a warm task pool
+# beats a per-stage actor spawn for cheap state)
 _SCORER_CACHE: dict[str, PairScorer] = {}
 
 
@@ -119,18 +119,8 @@ def _score_task(batch: pa.Table, cfg: PipelineConfig) -> pa.Table:
 
 
 def score_stage(pairs_ds, cfg: PipelineConfig | None = None,
-                concurrency: int | tuple | None = None,
-                batch_size: int | None = None,
-                use_actor_pool: bool = False):
+                batch_size: int | None = None):
     cfg = cfg or PipelineConfig()
-    if use_actor_pool:
-        return pairs_ds.map_batches(
-            PairScorer, fn_constructor_kwargs={"cfg": cfg},
-            batch_format="pyarrow",
-            batch_size=batch_size or cfg.score_batch_size,
-            # autoscaling (min 1) so the pool never deadlocks the
-            # pipeline's other stages on low-CPU machines
-            concurrency=concurrency or (1, 64))
     return pairs_ds.map_batches(
         _score_task, fn_kwargs={"cfg": cfg},
         batch_format="pyarrow",

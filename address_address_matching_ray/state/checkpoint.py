@@ -113,8 +113,9 @@ class CheckpointManager:
         if os.path.isdir(data_path):
             shutil.rmtree(data_path)
         os.replace(tmp, data_path)
-        out = rd.read_parquet(data_path)
-        n_rows = out.count()
+        # row counts come from the footers: no read-back scan
+        partitions = _partition_stats(data_path)
+        n_rows = sum(p["rows"] for p in partitions.values())
         secs = round(time.time() - t0, 3)
         manifest = {
             "stage": stage,
@@ -126,14 +127,14 @@ class CheckpointManager:
             "parts": sorted(os.listdir(data_path)),
             # per-partition rows/bytes/files from the parquet footers —
             # the north rule's "per-partition lineage + metrics"
-            "partitions": _partition_stats(data_path),
+            "partitions": partitions,
             "complete": True,
             "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         }
         with open(self._manifest_path(stage) + ".tmp", "w") as f:
             json.dump(manifest, f, indent=1)
         os.replace(self._manifest_path(stage) + ".tmp", self._manifest_path(stage))
-        return out, False
+        return rd.read_parquet(data_path), False
 
     def stage_metrics(self) -> list[dict]:
         out = []

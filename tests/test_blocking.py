@@ -148,3 +148,64 @@ def test_hot_key_salting(ray_session):
     out2 = pairs_stage(rd.from_pandas(rows), cfg, buckets=4,
                        salt_hot=False).to_pandas()
     assert set(out2.block_key) == {"mega"}
+
+
+def _exchange_keys():
+    """A hot key above ``8 × max_block_size`` (salted, bridged, capped)
+    plus overlapping normal keys, so pairs repeat across keys."""
+    import ray.data as rd
+
+    rows = pd.concat([_key_rows("mega", list(range(120))),
+                      _key_rows("a", [1, 2, 3, 200, 201]),
+                      _key_rows("b", [2, 3, 200, 202]),
+                      _key_rows("c", [200, 201, 202, 203])],
+                     ignore_index=True)
+    return rd.from_pandas(rows).repartition(5).materialize()
+
+
+def _pairs_via(monkeypatch, bound, keys, cfg):
+    from address_address_matching_ray.pipelines import join
+    from address_address_matching_ray.stages import cluster
+    from address_address_matching_ray.stages.pairs import pairs_stage
+
+    calls = []
+    real = cluster.dedup_edge_pairs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cluster, "dedup_edge_pairs", counting)
+    monkeypatch.setattr(join, "LOCAL_EXCHANGE_BYTES", bound)
+    out = pairs_stage(keys, cfg, buckets=4, salt_hot=True,
+                      keys_size_bytes=keys.size_bytes()).to_pandas()
+    return (out.sort_values(["left_id", "right_id"]).reset_index(drop=True),
+            len(calls))
+
+
+def test_local_and_bucketed_pairs_match(ray_session, monkeypatch):
+    """Pair generation as one local task equals the two bucketed
+    exchanges row for row, on every column; only the bucketed path runs
+    the pair-dedup exchange."""
+    cfg = PipelineConfig(max_block_size=4, max_pairs_per_block=40,
+                         salt_buckets=3)
+    keys = _exchange_keys()
+    local, local_dedups = _pairs_via(monkeypatch, 1 << 62, keys, cfg)
+    bucketed, bucketed_dedups = _pairs_via(monkeypatch, 0, keys, cfg)
+    assert (local_dedups, bucketed_dedups) == (0, 1)
+    assert {"mega#s0", "mega#bridge", "a", "b"} <= set(local.block_key)
+    assert (local.dropped_pairs > 0).any()
+    assert not local.duplicated(["left_id", "right_id"]).any()
+    pd.testing.assert_frame_equal(local, bucketed)
+
+
+def test_hot_key_pass_paths_match(ray_session):
+    """Pass 0's driver-side sum and its bucketed exchange find the same
+    hot keys."""
+    from address_address_matching_ray.stages.pairs import _find_hot_keys
+
+    keys = _exchange_keys()
+    driver = _find_hot_keys(keys, threshold=40, buckets=4,
+                            keys_size_bytes=keys.size_bytes())
+    bucketed = _find_hot_keys(keys, threshold=40, buckets=4)
+    assert driver == bucketed == {"mega"}

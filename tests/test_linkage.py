@@ -89,10 +89,12 @@ def test_decision_parity_vs_reference_formulas(linkage_run):
     assert mismatches == 0
 
 
-def test_partition_invariance(ray_session):
-    """Same input at different bucket/partition counts AND through both
+def test_partition_invariance(ray_session, monkeypatch):
+    """Same input at different bucket/partition counts, through both
     clustering paths (driver union-find vs distributed label
-    propagation) → identical clusters (SURVEY §5.2 property test)."""
+    propagation) AND both pair exchanges (one local task vs bucketed
+    groupbys) → identical clusters (SURVEY §5.2 property test)."""
+    from address_address_matching_ray.pipelines import join
     from address_address_matching_ray.pipelines.linkage import run_linkage
 
     pages = synth_pages(400, seed=7)
@@ -102,6 +104,12 @@ def test_partition_invariance(ray_session):
     a = a.sort_values("doc_id").reset_index(drop=True)
     b = b.sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
+
+    monkeypatch.setattr(join, "LOCAL_EXCHANGE_BYTES", 0)
+    c = run_linkage(synth_pages(400, seed=7), buckets=13,
+                    num_partitions=5).clusters.to_pandas()
+    c = c.sort_values("doc_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(a, c)
 
 
 def test_checkpoint_resume(ray_session, tmp_path):
@@ -149,6 +157,27 @@ def test_checkpoint_resume(ray_session, tmp_path):
     assert len(parts) >= 2                      # partitioned by left_id hash
     assert sum(p["rows"] for p in parts.values()) == edges_m["rows"]
     assert all(p["bytes"] > 0 and p["files"] >= 1 for p in parts.values())
+
+
+def test_checkpoint_manifest_rows_match_data(ray_session, tmp_path):
+    """Manifest row counts, taken from the Parquet footers, equal a
+    count of the written stage, flat and partitioned."""
+    import ray.data as rd
+
+    from address_address_matching_ray.state.checkpoint import CheckpointManager
+
+    mgr = CheckpointManager(str(tmp_path), "fp", "cfg")
+
+    def build():
+        return rd.range(1000, override_num_blocks=7).map_batches(
+            lambda df: df.assign(part=df["id"] % 3), batch_format="pandas")
+
+    mgr.load_or_compute("flat", build)
+    mgr.load_or_compute("parted", build, partition_col="part")
+    rows = {m["stage"]: m["rows"] for m in mgr.stage_metrics()}
+    for stage in ("flat", "parted"):
+        assert rows[stage] == rd.read_parquet(str(tmp_path / stage)).count()
+    assert rows == {"flat": 1000, "parted": 1000}
 
 
 def test_checkpoint_plan_derives_keys_once(ray_session, tmp_path,

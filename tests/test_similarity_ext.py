@@ -165,3 +165,33 @@ def test_pq_rerank_batch_skips_empty_and_compares_uint64():
 
     none = _rerank_batch(m, ids, q, short[:1], "vec_id")
     assert len(none) == 0 and none["vec_id"].dtype == np.int64
+
+
+def test_topk_cut_ties_match_oracle_under_any_layout():
+    """Per-batch shortlists cut in (dist, id) order: with distances tied
+    across the cut, the union of per-batch top-R lists, re-cut, equals
+    a pandas ``ORDER BY dist, id`` over all rows, for two batch
+    layouts."""
+    from address_address_matching_ray.pipelines.similarity import _topk_cols
+
+    rng = np.random.default_rng(3)
+    n, nq, r = 64, 3, 5
+    ids = rng.permutation(np.arange(1000, 1000 + n)).astype("uint64")
+    dist = rng.integers(0, 3, size=(nq, n))          # heavy ties
+    oracle = (pd.DataFrame({"q": np.repeat(np.arange(nq), n),
+                            "id": np.tile(ids, nq),
+                            "d": dist.ravel()})
+              .sort_values(["q", "d", "id"]).groupby("q").head(r)
+              .reset_index(drop=True))
+    for batch in (7, 16):
+        parts = []
+        for s in range(0, n, batch):
+            d, i = dist[:, s:s + batch], ids[s:s + batch]
+            cols = _topk_cols(d, i, min(r, len(i)))
+            parts.append(pd.DataFrame({
+                "q": np.repeat(np.arange(nq), cols.shape[1]),
+                "id": i[cols.ravel()],
+                "d": np.take_along_axis(d, cols, axis=1).ravel()}))
+        got = (pd.concat(parts).sort_values(["q", "d", "id"])
+               .groupby("q").head(r).reset_index(drop=True))
+        pd.testing.assert_frame_equal(got, oracle)
