@@ -105,11 +105,11 @@ class PipelineConfig:
 
     # ── execution ──
     score_batch_size: int = 4096
-    score_concurrency: int = 4       # scorer actor-pool size
     # rows per block for the pre-scoring streaming split-repartition:
-    # ~18 µs/pair scoring ⇒ ~250k rows ≈ 4-5 s tasks — small enough to
-    # pack cores evenly behind a skewed bucket groupby, big enough that
-    # per-task overhead stays <1%
+    # ~6 µs/pair scoring (PairScorer CPU time on the perfbench link_skew
+    # pairs in 4096-row batches, one Xeon vCPU) ⇒ ~250k rows ≈ 1.5 s
+    # tasks — small enough to pack cores evenly behind a skewed bucket
+    # groupby, big enough that per-task overhead stays <1%
     score_block_rows: int = 250_000
     target_max_block_size_mb: int = 128
     seed: int = 42

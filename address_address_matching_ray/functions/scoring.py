@@ -2,7 +2,7 @@
 
 Reproduces the reference's pair-decision formulas exactly (constants and
 caps inlined from the cited lines), re-expressed as batch functions over
-numpy columns so a scorer actor can decide an entire Arrow batch of
+numpy columns so the scoring stage decides an entire Arrow batch of
 candidate pairs at once:
 
 - component scores      — ``optimized.py:617-684``
@@ -23,6 +23,14 @@ candidate pairs at once:
 
 "Absent" component scores are NaN (the reference omits dict keys); all
 ``.get(k, 0)`` semantics use ``nan→0`` coalescing.
+
+Per distinct value, gathered by code: every transformation of one
+side's strings runs once per distinct value of the batch
+(``per_value``) and is gathered back to the pairs by integer code; per
+pair there remain only equality tests on gathered values and the
+``fuzzy`` kernels, which run once per distinct string pair.  Columns
+may be object arrays or ``pd.Categorical`` (already encoded, so not
+hashed again).
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from address_address_matching_ray.config import (
 )
 from address_address_matching_ray.functions import fuzzy
 from address_address_matching_ray.functions.normalize import (
-    APT_PAT, normalize_array, normalize_unit, soundex, split_street_unit,
+    normalize_array, normalize_unit, soundex, split_street_unit,
 )
 
 COMPONENT_KEYS = ("street", "street_soundex", "unit", "house", "city", "zip", "state")
@@ -47,24 +55,63 @@ LEVEL_ADJ_ARR = np.array([LEVEL_ADJUSTMENTS[t[0]] for t in TIER_TABLE] + [-80.0]
 RELIABILITY_NAMES = np.array(["high", "medium", "low", "very_low", "speculative"])
 
 
-def _as_str_array(col) -> np.ndarray:
-    """Column → numpy object array of non-null python strings."""
-    s = pd.Series(col, dtype="object").fillna("")
-    return s.to_numpy(dtype=object)
+def _encode(cols) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Dictionary-encode equal-length columns jointly, nulls read as "".
+
+    Returns ``codes`` (one per row) and, per column, the values of each
+    distinct row: row ``i`` is ``[u[codes[i]] for u in distinct]``.
+    """
+    codes, parts = None, []
+    for col in cols:
+        if isinstance(col, pd.Categorical):     # already encoded
+            c, u = col.codes.astype(np.int64), col.categories.to_numpy(object)
+        else:
+            c, u = pd.factorize(np.asarray(col, dtype=object))
+        if len(c) and c.min() < 0:                 # None/NaN → ""
+            c = np.where(c < 0, len(u), c)
+            u = np.concatenate([u, np.array([""], dtype=object)])
+        parts.append((c, u))
+        codes = c if codes is None else pd.factorize(codes * len(u) + c)[0]
+    if len(parts) == 1:
+        return codes, [parts[0][1]]
+    rep = np.zeros(codes.max() + 1 if len(codes) else 0, dtype=np.int64)
+    rep[codes] = np.arange(len(codes))          # any row of each code
+    return codes, [u[c[rep]] for c, u in parts]
 
 
-def _split_units(streets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vector-friendly ``split_street_unit``: regex-prefilter, then the
-    scalar spec only on rows that can match (O:44-55)."""
-    out_street = streets.copy()
-    out_unit = np.full(len(streets), "", dtype=object)
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # capture group in contains()
-        hit = pd.Series(streets).str.contains(APT_PAT, regex=True, na=False).to_numpy()
-    for i in np.nonzero(hit)[0]:
-        out_street[i], out_unit[i] = split_street_unit(streets[i])
-    return out_street, out_unit
+def per_value(fn, *cols, dtype=object) -> np.ndarray:
+    """``fn`` over each distinct row of ``cols`` (nulls read as ""),
+    gathered back to every row by code.  Pair batches repeat each doc's
+    strings many times, so per-side work runs once per distinct value.
+    A tuple-valued ``fn`` gives an ``(n, len(tuple))`` array: unpack
+    its ``.T`` into one column per tuple element."""
+    codes, distinct = _encode(cols)
+    return np.array([fn(*v) for v in zip(*distinct)], dtype=dtype)[codes]
+
+
+def _fold(fn):
+    """Per-value ``fn(str(v))``, and "" for a falsy value, so ``!= ""``
+    on the result is the reference's truthiness test."""
+    return lambda v: fn(str(v)) if v else ""
+
+
+def _query_street(street: str) -> tuple[str, str, str, str]:
+    """Street without its embedded unit (O:44-55), that unit, the
+    upper-cased street and its soundex."""
+    clean, unit = split_street_unit(street)
+    return clean, unit, clean.upper(), soundex(clean)
+
+
+def _record_street(predir: str, name: str, stype: str) -> tuple[str, str, str]:
+    """``"PREDIR STREET STRTYPE".upper()`` (O:624-628), its soundex, and
+    the unit embedded in the street name (O:647-656)."""
+    full = " ".join(p for p in (predir.strip(), name.strip(), stype.strip()) if p).upper()
+    return full, soundex(full), split_street_unit(name.lower())[1]
+
+
+def _unit(unit: str, unit_in_street: str) -> str:
+    """The unit field, else the unit embedded in the street (O:647-656)."""
+    return normalize_unit(unit or unit_in_street)
 
 
 def component_scores(q: dict[str, np.ndarray], r: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -75,108 +122,62 @@ def component_scores(q: dict[str, np.ndarray], r: dict[str, np.ndarray]) -> dict
     city state zip`` (our records are parsed pages; PREDIR folds into
     the street the same way the reference joins PREDIR+STREET+STRTYPE).
     Returns one float64 array per component key, NaN = score absent.
+
+    Every one-sided transformation runs once per distinct value
+    (``per_value``); per pair only equality tests on the gathered values
+    and the fuzzy kernels (themselves once per distinct pair) remain.
     """
     n = len(q["street"])
     scores = {k: np.full(n, np.nan) for k in COMPONENT_KEYS}
 
-    q_street_raw = _as_str_array(q["street"])
-    r_predir = _as_str_array(r.get("predir", [""] * n))
-    r_sname = _as_str_array(r["street_name"])
-    r_stype = _as_str_array(r.get("street_type", [""] * n))
-
-    # rec_full_street = "PREDIR STREET STRTYPE".upper() (O:624-628)
-    rec_full = np.array(
-        [" ".join(p for p in (a.strip(), b.strip(), c.strip()) if p).upper()
-         for a, b, c in zip(r_predir, r_sname, r_stype)], dtype=object)
-
-    has_street = np.array([bool(s) for s in q_street_raw])
+    has_street = per_value(bool, q["street"], dtype=bool)
     idx = np.nonzero(has_street)[0]
     if len(idx):
-        q_sub = q_street_raw[idx]
-        r_sub = rec_full[idx]
-        q_clean, q_unit_in_street = _split_units(q_sub)
-        qn = normalize_array(q_clean)
-        rn = normalize_array(r_sub)
-        exact = qn == rn
+        q_clean, q_unit_in_street, q_upper, q_sx = per_value(
+            _query_street, q["street"]).T
+        rec_full, r_sx, r_unit_in_street = per_value(
+            _record_street, r.get("predir", [""] * n), r["street_name"],
+            r.get("street_type", [""] * n)).T
+        q_clean, q_upper, q_sx = q_clean[idx], q_upper[idx], q_sx[idx]
+        rec_full, r_sx = rec_full[idx], r_sx[idx]
+        fuzz = np.nonzero(normalize_array(q_clean) != normalize_array(rec_full))[0]
         st = np.full(len(idx), 100.0)
-        nz = np.nonzero(~exact)[0]
-        if len(nz):
-            st[nz] = fuzzy.apply_unique_pairs(
-                fuzzy.batch_token_sort_ratio,
-                [q_clean[i].upper() for i in nz], [r_sub[i] for i in nz])
+        if len(fuzz):
+            st[fuzz] = fuzzy.apply_unique_pairs(
+                fuzzy.batch_token_sort_ratio, q_upper[fuzz], rec_full[fuzz])
         scores["street"][idx] = st
-        # Soundex similarity (O:642-644) — memoized per distinct string
-        sx: dict[str, str] = {}
-
-        def _sx(s_: str) -> str:
-            v = sx.get(s_)
-            if v is None:
-                v = soundex(s_)
-                sx[s_] = v
-            return v
-
-        scores["street_soundex"][idx] = [
-            100.0 if _sx(a) == _sx(b) else 0.0
-            for a, b in zip(q_clean, r_sub)]
+        # Soundex similarity (O:642-644)
+        scores["street_soundex"][idx] = np.where(q_sx == r_sx, 100.0, 0.0)
         # Unit scoring incl. units embedded in the record street (O:647-656)
-        r_street_field = r_sname[idx]
-        _, r_unit_in_street = _split_units(
-            np.array([s.lower() for s in r_street_field], dtype=object))
-        q_unit = _as_str_array(q["unit"])[idx]
-        r_unit = _as_str_array(r["unit"])[idx]
-        uq = [normalize_unit(a or b) for a, b in zip(q_unit, q_unit_in_street)]
-        ur = [normalize_unit(a or b) for a, b in zip(r_unit, r_unit_in_street)]
-        both = [bool(a) and bool(b) for a, b in zip(uq, ur)]
-        bidx = np.nonzero(both)[0]
-        if len(bidx):
-            vals = fuzzy.apply_unique_pairs(
-                fuzzy.batch_ratio, [uq[i] for i in bidx], [ur[i] for i in bidx])
-            scores["unit"][idx[bidx]] = vals
+        uq = per_value(_unit, q["unit"], q_unit_in_street)[idx]
+        ur = per_value(_unit, r["unit"], r_unit_in_street)[idx]
+        both = np.nonzero((uq != "") & (ur != ""))[0]
+        if len(both):
+            scores["unit"][idx[both]] = fuzzy.apply_unique_pairs(
+                fuzzy.batch_ratio, uq[both], ur[both])
 
     # House (O:659-673): exact → 100; fuzzy with −20 penalty below 90
-    q_house = _as_str_array(q["house"])
-    r_house = _as_str_array(r["house"])
-    hmask = np.array([bool(a.strip()) and bool(b.strip())
-                      for a, b in zip(q_house, r_house)])
-    hidx = np.nonzero(hmask)[0]
+    q_house = per_value(_fold(str.strip), q["house"])
+    r_house = per_value(_fold(str.strip), r["house"])
+    hidx = np.nonzero((q_house != "") & (r_house != ""))[0]
     if len(hidx):
-        a = [q_house[i].strip() for i in hidx]
-        b = [str(r_house[i]).strip() for i in hidx]
-        eq = np.array([x == y for x, y in zip(a, b)])
+        a, b = q_house[hidx], r_house[hidx]
         hv = np.full(len(hidx), 100.0)
-        nz = np.nonzero(~eq)[0]
+        nz = np.nonzero(a != b)[0]
         if len(nz):
-            rat = fuzzy.apply_unique_pairs(
-                fuzzy.batch_ratio, [a[i] for i in nz], [b[i] for i in nz])
+            rat = fuzzy.apply_unique_pairs(fuzzy.batch_ratio, a[nz], b[nz])
             hv[nz] = np.where(rat < 90, np.maximum(0.0, rat - 20.0), rat)
         scores["house"][hidx] = hv
 
-    # City (O:676): partial_ratio on lowercase
-    q_city = _as_str_array(q["city"])
-    r_city = _as_str_array(r["city"])
-    cidx = np.nonzero([bool(a) and bool(b) for a, b in zip(q_city, r_city)])[0]
-    if len(cidx):
-        scores["city"][cidx] = fuzzy.apply_unique_pairs(
-            fuzzy.batch_partial_ratio,
-            [q_city[i].lower() for i in cidx], [str(r_city[i]).lower() for i in cidx])
-
-    # Zip (O:678-679)
-    q_zip = _as_str_array(q["zip"])
-    r_zip = _as_str_array(r["zip"])
-    zidx = np.nonzero([bool(a) and bool(b) for a, b in zip(q_zip, r_zip)])[0]
-    if len(zidx):
-        scores["zip"][zidx] = fuzzy.apply_unique_pairs(
-            fuzzy.batch_ratio,
-            [q_zip[i] for i in zidx], [str(r_zip[i]) for i in zidx])
-
-    # State (O:681-682)
-    q_state = _as_str_array(q["state"])
-    r_state = _as_str_array(r["state"])
-    sidx = np.nonzero([bool(a) and bool(b) for a, b in zip(q_state, r_state)])[0]
-    if len(sidx):
-        scores["state"][sidx] = fuzzy.apply_unique_pairs(
-            fuzzy.batch_ratio,
-            [q_state[i].upper() for i in sidx], [str(r_state[i]).upper() for i in sidx])
+    # City (O:676): partial_ratio on lowercase; zip and state (O:678-682)
+    for key, case, kernel in (("city", str.lower, fuzzy.batch_partial_ratio),
+                              ("zip", str, fuzzy.batch_ratio),
+                              ("state", str.upper, fuzzy.batch_ratio)):
+        a = per_value(_fold(case), q[key])
+        b = per_value(_fold(case), r[key])
+        kidx = np.nonzero((a != "") & (b != ""))[0]
+        if len(kidx):
+            scores[key][kidx] = fuzzy.apply_unique_pairs(kernel, a[kidx], b[kidx])
 
     return scores
 
@@ -236,8 +237,8 @@ def exactness(similarity: np.ndarray, confidence: np.ndarray,
 
 def similarity_full(q_addr, r_addr) -> np.ndarray:
     """Whole-string similarity on normalized full addresses (O:741,752-754)."""
-    qn = normalize_array(_as_str_array(q_addr))
-    rn = normalize_array(_as_str_array(r_addr))
+    qn = normalize_array(q_addr)
+    rn = normalize_array(r_addr)
     return fuzzy.batch_ratio(list(qn), list(rn))
 
 
@@ -256,15 +257,12 @@ def unit_adjustment(q_unit, r_unit, cfg: PipelineConfig | None = None) -> np.nda
     record has a different unit, 0 when the query has no unit or the
     record has none."""
     cfg = cfg or PipelineConfig()
-    qu = _as_str_array(q_unit)
-    ru = _as_str_array(r_unit)
+    qu = per_value(_fold(str.upper), q_unit)
+    ru = per_value(_fold(str.upper), r_unit)
+    both = (qu != "") & (ru != "")
     out = np.zeros(len(qu))
-    for i, (a, b) in enumerate(zip(qu, ru)):
-        if a:
-            if b and a.upper() == b.upper():
-                out[i] = cfg.unit_match_bonus
-            elif b:
-                out[i] = cfg.unit_mismatch_penalty
+    out[both] = np.where(qu[both] == ru[both], cfg.unit_match_bonus,
+                         cfg.unit_mismatch_penalty)
     return out
 
 
@@ -283,8 +281,7 @@ def quality_score(confidence: np.ndarray, similarity: np.ndarray,
     base = confidence.copy()
 
     def present(col) -> np.ndarray:
-        return np.array([bool(str(v).strip()) if v is not None else False
-                         for v in _as_str_array(col)])
+        return per_value(_fold(str.strip), col) != ""
 
     base += np.where(present(r["street_name"]), 20.0, 0.0)   # U:773-776
     base += np.where(present(r["house"]), 15.0, 0.0)         # U:778-780

@@ -1,11 +1,19 @@
 """Tiered pair-scoring stage: stateless tasks over cached scorers.
 
 ``pairs.map_batches(_score_task, batch_size=B)`` — SURVEY §7.1 step 4.
-Each worker process caches one ``PairScorer`` per config, holding the
-config + warm numpy state (SURVEY §2.3 ST3/ST5 analog); ``__call__``
+Each worker process caches one ``PairScorer`` per config; ``__call__``
 decides a whole Arrow batch of pairs with the vectorized formulas in
-``functions.scoring``
-(constants from optimized.py:115-131, 617-737; U:760-945).
+``functions.scoring`` (constants from optimized.py:115-131, 617-737;
+U:760-945).
+
+Scoring runs per distinct value, gathered by code: each payload string
+column is read once with Arrow's ``dictionary_encode``, every one-sided
+transformation (street join and split, normalization, soundex, case
+folds, presence tests) runs once per distinct value, and pairs gather
+the results by code.  A doc appears in many pairs of a batch, so this
+does its string work once instead of once per pair.  What is left per
+pair is equality tests on the gathered values and the fuzzy kernels,
+which run once per distinct string pair.
 
 Tier-0 short-circuit: pairs whose normalized full addresses are
 byte-equal skip the fuzzy kernels entirely (exact hash path, north-star
@@ -27,6 +35,22 @@ from address_address_matching_ray.config import PipelineConfig
 from address_address_matching_ray.functions import fuzzy, scoring
 
 
+def _strings(col: pa.ChunkedArray) -> pd.Categorical:
+    """String column → ``pd.Categorical`` via Arrow's
+    ``dictionary_encode``: each distinct value becomes a Python string
+    once, and ``scoring.per_value`` reads the codes without re-hashing
+    (null → code −1, read as "")."""
+    enc = col.combine_chunks().dictionary_encode()
+    values = pd.CategoricalDtype(enc.dictionary.to_numpy(zero_copy_only=False))
+    return pd.Categorical.from_codes(enc.indices.fill_null(-1).to_numpy(),
+                                     dtype=values, validate=False)
+
+
+def _join_street(name: str, stype: str) -> str:
+    """Join "name type" over the nonempty parts."""
+    return f"{name} {stype}" if name and stype else name or stype
+
+
 class PairScorer:
     def __init__(self, cfg: PipelineConfig | None = None):
         self.cfg = cfg or PipelineConfig()
@@ -34,16 +58,10 @@ class PairScorer:
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
         n = batch.num_rows
-        get = lambda c: batch[c].to_pandas().fillna("").to_numpy(dtype=object)
+        get = lambda c: _strings(batch[c])
 
-        # "name type" joined over the nonempty parts, vectorized (the
-        # r4 VERDICT item: this ran at interpreter rate per pair)
-        sn, st = get("l_street_name"), get("l_street_type")
-        both = (pd.Series(sn, dtype=object) + " "
-                + pd.Series(st, dtype=object)).to_numpy(dtype=object)
-        street = np.where(sn != "", np.where(st != "", both, sn), st)
-
-        q = {"street": street.astype(object),
+        q = {"street": scoring.per_value(_join_street, get("l_street_name"),
+                                         get("l_street_type")),
              "house": get("l_house"), "unit": get("l_unit"),
              "city": get("l_city"), "state": get("l_state"), "zip": get("l_zip")}
         r = {"street_name": get("r_street_name"), "street_type": get("r_street_type"),
@@ -55,7 +73,8 @@ class PairScorer:
         confidence = scoring.weighted_confidence(comp, cfg)
 
         # similarity on pre-normalized full addresses; equality fast path
-        l_na, r_na = get("l_norm_addr"), get("r_norm_addr")
+        l_na, r_na = (scoring.per_value(str, get(c))
+                      for c in ("l_norm_addr", "r_norm_addr"))
         eq = np.asarray(l_na == r_na, dtype=bool)
         similarity = np.full(n, 100.0)
         nz = np.nonzero(~eq)[0]
@@ -118,10 +137,8 @@ def _score_task(batch: pa.Table, cfg: PipelineConfig) -> pa.Table:
     return scorer(batch)
 
 
-def score_stage(pairs_ds, cfg: PipelineConfig | None = None,
-                batch_size: int | None = None):
+def score_stage(pairs_ds, cfg: PipelineConfig | None = None):
     cfg = cfg or PipelineConfig()
     return pairs_ds.map_batches(
         _score_task, fn_kwargs={"cfg": cfg},
-        batch_format="pyarrow",
-        batch_size=batch_size or cfg.score_batch_size)
+        batch_format="pyarrow", batch_size=cfg.score_batch_size)

@@ -63,3 +63,23 @@ def test_pipeline_signatures_accept_perfbench_calls(module, name, required):
         used.update(kws)
         sig.bind(*[None] * len(call.args), **dict.fromkeys(kws))
     assert required <= used, required - used
+
+
+def test_kernel_rates_run_on_a_synth_slice():
+    """``spans.kernel_rates`` calls the hot kernels by their call shape
+    (``scoring.component_scores(q, r)`` among them); on a 32-page
+    ``sources.synth`` slice every rate must come out positive."""
+    import numpy as np
+
+    from address_address_matching_ray.sources.synth import (
+        pages_batch, truth_batch,
+    )
+
+    ids = np.arange(32)
+    truth = truth_batch(ids, 1)["cluster_id"].to_numpy().astype(np.int64)
+    rates = _spans().kernel_rates(pages_batch(ids, 1), truth)
+    assert set(rates) == {
+        "extract.text.rows_per_s", "functions.parse.rows_per_s",
+        "functions.minhash.docs_per_s", "functions.fuzzy.ratio_pairs_per_s",
+        "functions.scoring.pairs_per_s"}
+    assert all(v > 0 for v in rates.values()), rates

@@ -11,6 +11,8 @@ F1 gate lives in test_linkage.py).
 import random
 
 import numpy as np
+import pandas as pd
+import pyarrow as pa
 import pytest
 
 from address_address_matching_ray.config import LEVEL_ADJUSTMENTS, TIER_TABLE, PipelineConfig
@@ -18,6 +20,8 @@ from address_address_matching_ray.functions import fuzzy, scoring
 from address_address_matching_ray.functions.normalize import (
     normalize, normalize_unit, soundex, split_street_unit,
 )
+from address_address_matching_ray.stages.keys import PAYLOAD_COLS
+from address_address_matching_ray.stages.score import PairScorer
 
 CFG = PipelineConfig()
 
@@ -141,6 +145,39 @@ def oracle_quality(confidence, similarity, scores, tier_idx, r) -> float:
 # randomized corpus
 # ──────────────────────────────────────────────────────────────
 
+_Q = {"street": "berry st", "house": "55", "unit": "", "city": "brooklyn",
+      "state": "ny", "zip": "11211"}
+_R = {"street_name": "berry st", "street_type": "", "predir": "", "house": "55",
+      "unit": "", "city": "brooklyn", "state": "NY", "zip": "11211"}
+
+# Value shapes a per-distinct-value scorer must keep, each one the scalar
+# oracle accepts.  A whitespace-only house is only set against an empty
+# house: the oracle scores "  " vs "55" as 0, the batch scorer as absent.
+# None is kept out of the record street fields, which the oracle reads
+# as the text "None".
+EDGE_SHAPES = [
+    ({k: None for k in _Q}, _R),
+    (_Q, {**_R, "house": None, "unit": None, "city": None, "state": None,
+          "zip": None}),
+    ({**_Q, "street": "", "city": "", "zip": ""}, {**_R, "street_name": ""}),
+    ({**_Q, "house": "  "}, {**_R, "house": ""}),
+    ({**_Q, "house": ""}, {**_R, "house": "   "}),
+    ({**_Q, "street": "berry st apt 4b"}, {**_R, "unit": "4B"}),
+    ({**_Q, "street": "berry st apt 4b"}, {**_R, "unit": "9Z"}),
+    (_Q, {**_R, "street_name": "berry st apt 4b"}),
+    ({**_Q, "street": "kent ave # 12", "unit": None},
+     {**_R, "street_name": "kent ave unit 12"}),
+    ({**_Q, "street": "n 3rd st"}, {**_R, "street_name": "3rd", "street_type": "st",
+                                    "predir": "n"}),
+    ({**_Q, "street": "e broadway"}, {**_R, "street_name": "broadway",
+                                      "predir": " E "}),
+    ({**_Q, "street": "café rd"}, {**_R, "street_name": "cafe", "street_type": "rd"}),
+    ({**_Q, "street": "straße 5"}, {**_R, "street_name": "STRASSE 5"}),
+    ({**_Q, "street": "élan ave", "city": "montréal"},
+     {**_R, "street_name": "ÉLAN", "street_type": "AVE", "city": "Montreal"}),
+]
+
+
 def make_corpus(n=400, seed=11):
     rng = random.Random(seed)
     streets = ["berry st", "bedford ave", "n 3rd st", "kent ave", "broadway",
@@ -167,11 +204,16 @@ def make_corpus(n=400, seed=11):
                  "predir": rng.choice(["", "n"]), "house": rng.choice(["55", "733", ""]),
                  "unit": rng.choice(["", "4B"]), "city": rng.choice(cities),
                  "state": "NY", "zip": rng.choice(["11211", "10001", ""])}
-        q["addr"] = " ".join(filter(None, [unit, house, st, q["city"], q["state"], zipc]))
-        r["addr"] = " ".join(filter(None, [r["house"], r["street_name"], r["street_type"],
-                                           r["unit"], r["city"], r["state"], r["zip"]]))
         qs.append(q)
         rs.append(r)
+    for q, r in EDGE_SHAPES:
+        qs.append(dict(q))
+        rs.append(dict(r))
+    for q, r in zip(qs, rs):
+        q["addr"] = " ".join(filter(None, [q["unit"], q["house"], q["street"],
+                                           q["city"], q["state"], q["zip"]]))
+        r["addr"] = " ".join(filter(None, [r["house"], r["street_name"], r["street_type"],
+                                           r["unit"], r["city"], r["state"], r["zip"]]))
     return qs, rs
 
 
@@ -246,3 +288,59 @@ def test_exact_predicate_boundaries():
     assert scoring.exactness(np.array([95.0]), np.array([95.0]), s)[0]
     s["zip"] = np.array([79.0])
     assert not scoring.exactness(np.array([95.0]), np.array([95.0]), s)[0]
+
+
+# ──────────────────────────────────────────────────────────────
+# batch layout: per-value work must not leak across rows or batches
+# ──────────────────────────────────────────────────────────────
+
+_VARIANTS = [  # (norm_addr, house, street_name, street_type, unit, city, state, zip)
+    ("55 berry st brooklyn ny 11211", "55", "berry", "st", "", "brooklyn", "ny", "11211"),
+    ("55 berry st apt 4b brooklyn ny", "55", "berry st apt 4b", "", None, "Brooklyn", "NY", None),
+    ("55 berry street brooklyn", " 55 ", "berry", "street", "4B", "brooklyn", None, "11211"),
+    ("57 berry st brooklyn ny 11249", "57", "berry", "st", "1H", "brooklyn", "ny", "11249"),
+    ("55 bery st", "55", "bery", None, "", "", "ny", "11211"),
+    ("55 berry st", None, "berry", "st", "#3", None, "NJ", "11211"),
+]
+
+
+def _skew_key_rows():
+    """One hot entity above ``8 × max_block_size`` (salted, bridged,
+    capped) whose docs share a few address variants, plus small
+    entities on other keys: every batch repeats each value many times."""
+    rows = []
+    for i in range(120):
+        rows.append(("mega", i, _VARIANTS[i % len(_VARIANTS)]))
+    for i in range(200, 230):
+        other = (f"{i} kent ave", str(i), "kent", "ave", "", "brooklyn", "ny", "11249")
+        rows.append((f"k{i // 5}", i, _VARIANTS[i % len(_VARIANTS)] if i % 7 == 0 else other))
+    return pd.DataFrame([
+        {"doc_id": i, "block_key": key, "key_kind": "exact",
+         **dict(zip(PAYLOAD_COLS, payload))} for key, i, payload in rows
+    ]).astype({"doc_id": "uint64"})
+
+
+def test_batch_layout_does_not_change_scores(ray_session):
+    """Scoring a pair table as one batch, or in slices of 1, 7 and 4096
+    rows, gives the same table; an empty batch keeps the schema."""
+    import ray.data as rd
+
+    from address_address_matching_ray.stages.pairs import pairs_stage
+
+    cfg = PipelineConfig(max_block_size=4, max_pairs_per_block=40, salt_buckets=3)
+    pairs = pa.concat_tables(
+        pairs_stage(rd.from_pandas(_skew_key_rows()), cfg, buckets=4, salt_hot=True)
+        .iter_batches(batch_format="pyarrow", batch_size=None))
+    assert pairs.num_rows > 100
+    assert {"mega#s0", "mega#bridge"} <= set(pairs["block_key"].to_pylist())
+    scorer = PairScorer(cfg)
+    whole = scorer(pairs)
+    assert whole["accepted"].to_numpy().any() and not whole["accepted"].to_numpy().all()
+    for size in (1, 7, 4096):
+        sliced = pa.concat_tables([scorer(pairs.slice(s, size))
+                                   for s in range(0, pairs.num_rows, size)])
+        assert sliced.schema.equals(whole.schema), size
+        pd.testing.assert_frame_equal(sliced.to_pandas(), whole.to_pandas())
+    empty = scorer(pairs.slice(0, 0))
+    assert empty.num_rows == 0
+    assert empty.schema.equals(whole.schema)
