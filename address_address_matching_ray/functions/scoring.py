@@ -156,10 +156,12 @@ def component_scores(q: dict[str, np.ndarray], r: dict[str, np.ndarray]) -> dict
             scores["unit"][idx[both]] = fuzzy.apply_unique_pairs(
                 fuzzy.batch_ratio, uq[both], ur[both])
 
-    # House (O:659-673): exact → 100; fuzzy with −20 penalty below 90
+    # House (O:659-673): gated on the raw values (a whitespace-only
+    # house is present); exact → 100; fuzzy with −20 penalty below 90
     q_house = per_value(_fold(str.strip), q["house"])
     r_house = per_value(_fold(str.strip), r["house"])
-    hidx = np.nonzero((q_house != "") & (r_house != ""))[0]
+    hidx = np.nonzero(per_value(bool, q["house"], dtype=bool)
+                      & per_value(bool, r["house"], dtype=bool))[0]
     if len(hidx):
         a, b = q_house[hidx], r_house[hidx]
         hv = np.full(len(hidx), 100.0)

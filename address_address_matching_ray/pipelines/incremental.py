@@ -23,6 +23,15 @@ Instead:
    label) map — one streaming pass, no shuffle — and attach the new
    docs (merged label, or singleton = own doc_id).
 
+Below the broadcast gate (``n_new_docs <= broadcast_threshold``, and at
+most ``stages.cluster.DRIVER_CC_EDGES`` scored edges) steps 5-6 run on
+driver arrays: the accepted pairs are pulled once, the old endpoints'
+prior labels come from one streaming pass over the prior cluster table,
+pulled once, the contracted graph goes through the shared CC kernel
+(``stages.cluster._cc_arrays``), and the new docs' labels are built
+from their pulled ids — two Ray executions between scoring and the
+publish.  Above the gate the bucketed joins below run instead.
+
 Exactness: cluster labels are min-member doc_ids in both the batch and
 incremental paths (``stages.cluster.connected_components``), and an old
 node's contracted id is its prior label = min of its members — so the
@@ -106,10 +115,10 @@ def incremental_linkage(new_pages_ds, prior_clusters_ds, *,
     import ray.data as rd
 
     from address_address_matching_ray.pipelines.join import (
-        equi_join, membership_join, semi_join_ids,
+        equi_join, membership_join, pull_ids, semi_join_ids,
     )
     from address_address_matching_ray.stages.cluster import (
-        attach_singletons, connected_components,
+        DRIVER_CC_EDGES, attach_singletons, connected_components,
     )
     from address_address_matching_ray.stages.extract import extract_stage
     from address_address_matching_ray.stages.keys import keys_stage
@@ -192,9 +201,10 @@ def incremental_linkage(new_pages_ds, prior_clusters_ds, *,
 
     new_universe = (new_universe or new_pages_ds.select_columns(["doc_id"]))
     n_new_docs = new_universe.count()
-    if n_new_docs <= broadcast_threshold:
+    small = n_new_docs <= broadcast_threshold
+    if small:
         new_ids = np.sort(
-            new_universe.to_pandas()["doc_id"].to_numpy(dtype="uint64"))
+            pull_ids(new_universe, ["doc_id"])["doc_id"].to_numpy())
         nref = ray.put(new_ids)
 
         def keep_new_side(t: pa.Table) -> pa.Table:
@@ -221,10 +231,24 @@ def incremental_linkage(new_pages_ds, prior_clusters_ds, *,
     # other oracle-twin seam (default: the production tiered scorer)
     delta_edges = (score_fn(pairs) if score_fn is not None
                    else score_stage(pairs, cfg)).materialize()
-    accepted = delta_edges.filter(expr="accepted == True")
+    slim = delta_edges.filter(expr="accepted == True") \
+                      .select_columns(["left_id", "right_id"])
 
-    # ── step 5: contract old endpoints to their prior cluster label ──
-    slim = accepted.select_columns(["left_id", "right_id"]).materialize()
+    if small and delta_edges.count() <= DRIVER_CC_EDGES:
+        # ── steps 5-6 on driver arrays: the accepted pairs, the old
+        # endpoints' prior labels and the new ids are delta-sized ──
+        edges = pull_ids(slim, ["left_id", "right_id"])
+        new_cid, rl_old, rl_new = _absorb_arrays(
+            edges["left_id"].to_numpy(), edges["right_id"].to_numpy(),
+            new_ids, prior_clusters_ds)
+        new_clusters = rd.from_pandas(pd.DataFrame({
+            "doc_id": new_ids, "cluster_id": new_cid}))
+        return _publish(prior_clusters_ds, new_clusters, delta_edges,
+                        rl_old, rl_new)
+
+    # ── above the gate, steps 5-6 run through bucketed joins.  Step 5:
+    # contract old endpoints to their prior cluster label ──
+    slim = slim.materialize()
     if slim.count() == 0:
         new_clusters = attach_singletons(new_universe, _empty_labels(),
                                          num_partitions=num_partitions)
@@ -233,22 +257,16 @@ def incremental_linkage(new_pages_ds, prior_clusters_ds, *,
             new_clusters=new_clusters, delta_edges=delta_edges,
             merged_labels=_empty_labels())
 
-    def old_endpoints(t: pa.Table) -> pa.Table:
-        ids = ray.get(nref) if n_new_docs <= broadcast_threshold else None
+    def endpoints(t: pa.Table) -> pa.Table:
         both = np.unique(np.concatenate([
             t["left_id"].to_numpy(zero_copy_only=False),
             t["right_id"].to_numpy(zero_copy_only=False)]))
-        if ids is not None:
-            both = both[~_in_sorted(ids, both)]
         return pa.table({"doc_id": pa.array(both, pa.uint64())})
 
-    if n_new_docs <= broadcast_threshold:
-        old_ep = slim.map_batches(old_endpoints, batch_format="pyarrow")
-    else:
-        old_ep = membership_join(
-            slim.map_batches(old_endpoints, batch_format="pyarrow"),
-            new_universe, id_col="doc_id", keep=False,
-            buckets=max(num_partitions, 16))
+    old_ep = membership_join(
+        slim.map_batches(endpoints, batch_format="pyarrow"),
+        new_universe, id_col="doc_id", keep=False,
+        buckets=max(num_partitions, 16))
 
     # prior labels for old endpoints: semi-filter the corpus cluster
     # table (streaming pass against the delta-sized endpoint set), then
@@ -262,29 +280,15 @@ def incremental_linkage(new_pages_ds, prior_clusters_ds, *,
         lbl = old_labels.to_pandas()
         lbl_doc = lbl["doc_id"].to_numpy(dtype="uint64")
         order = np.argsort(lbl_doc, kind="mergesort")
-        lbl_doc = lbl_doc[order]
-        lbl_cid = lbl["cluster_id"].to_numpy(dtype="uint64")[order]
-        lref = ray.put((lbl_doc, lbl_cid))
+        lref = ray.put((lbl_doc[order],
+                        lbl["cluster_id"].to_numpy(dtype="uint64")[order]))
 
         def contract(t: pa.Table) -> pa.Table:
-            docs, cids = ray.get(lref)
-
-            def remap(v: np.ndarray) -> np.ndarray:
-                out = v.copy()
-                if len(docs):
-                    pos = np.minimum(np.searchsorted(docs, v), len(docs) - 1)
-                    hit = docs[pos] == v
-                    out[hit] = cids[pos[hit]]
-                return out
-
-            l = remap(t["left_id"].to_numpy(zero_copy_only=False)
-                       .astype("uint64"))
-            r = remap(t["right_id"].to_numpy(zero_copy_only=False)
-                       .astype("uint64"))
-            lo, hi = np.minimum(l, r), np.maximum(l, r)
-            keep = lo != hi
-            return pa.table({"left_id": pa.array(lo[keep], pa.uint64()),
-                             "right_id": pa.array(hi[keep], pa.uint64())})
+            lo, hi = _contract(t["left_id"].to_numpy(zero_copy_only=False),
+                               t["right_id"].to_numpy(zero_copy_only=False),
+                               *ray.get(lref))
+            return pa.table({"left_id": pa.array(lo, pa.uint64()),
+                             "right_id": pa.array(hi, pa.uint64())})
 
         contracted = slim.map_batches(contract, batch_format="pyarrow")
     else:
@@ -319,24 +323,86 @@ def incremental_linkage(new_pages_ds, prior_clusters_ds, *,
     # ── step 6: split delta labels into new-doc assignments vs the
     # (old label → merged label) relabel map; publish ──
     labels = labels.materialize()
-    if n_new_docs <= broadcast_threshold:
-        lab = labels.to_pandas()  # delta-sized: one row per delta node
-        node = lab["doc_id"].to_numpy(dtype="uint64")
-        is_new = _in_sorted(new_ids, node)
-        new_lab = rd.from_pandas(lab[is_new].reset_index(drop=True)) \
-            if is_new.any() else _empty_labels()
-        relabel = lab[~is_new].reset_index(drop=True)
-    else:
-        new_lab = membership_join(labels, new_universe, id_col="doc_id",
-                                  keep=True, buckets=max(num_partitions, 16))
-        relabel = membership_join(labels, new_universe, id_col="doc_id",
-                                  keep=False,
-                                  buckets=max(num_partitions, 16)).to_pandas()
-
+    new_lab = membership_join(labels, new_universe, id_col="doc_id",
+                              keep=True, buckets=max(num_partitions, 16))
+    relabel = membership_join(labels, new_universe, id_col="doc_id",
+                              keep=False,
+                              buckets=max(num_partitions, 16)).to_pandas()
     rl_old = relabel["doc_id"].to_numpy(dtype="uint64")
     order = np.argsort(rl_old, kind="mergesort")
-    rl_old = rl_old[order]
-    rl_new = relabel["cluster_id"].to_numpy(dtype="uint64")[order]
+    new_clusters = attach_singletons(new_universe, new_lab,
+                                     num_partitions=num_partitions)
+    return _publish(prior_clusters_ds, new_clusters, delta_edges,
+                    rl_old[order],
+                    relabel["cluster_id"].to_numpy(dtype="uint64")[order])
+
+
+def _contract(left: np.ndarray, right: np.ndarray, docs: np.ndarray,
+              cids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edges with each endpoint found in the sorted ``docs`` replaced
+    by its prior cluster label ``cids``, as canonical ``(lo, hi)``
+    pairs; edges that fall inside one prior cluster drop out."""
+    def remap(v: np.ndarray) -> np.ndarray:
+        v = v.astype("uint64")
+        out = v.copy()
+        if len(docs):
+            pos = np.minimum(np.searchsorted(docs, v), len(docs) - 1)
+            hit = docs[pos] == v
+            out[hit] = cids[pos[hit]]
+        return out
+
+    l, r = remap(left), remap(right)
+    lo, hi = np.minimum(l, r), np.maximum(l, r)
+    keep = lo != hi
+    return lo[keep], hi[keep]
+
+
+def _absorb_arrays(left: np.ndarray, right: np.ndarray, new_ids: np.ndarray,
+                   prior_clusters_ds):
+    """Steps 5-6 on driver arrays, for accepted delta edges
+    ``(left, right)`` and the sorted new doc ids: contract old
+    endpoints to their prior labels, run the CC kernel on the
+    contracted graph and split its labels.  Returns ``(new_cid, rl_old,
+    rl_new)``: each new doc's cluster id (its own id when it joined no
+    component) and the sorted (old label → merged label) map.  The one
+    Ray execution is a streaming pass over ``prior_clusters_ds`` that
+    keeps the old endpoints' rows, pulled once."""
+    import ray
+
+    from address_address_matching_ray.pipelines.join import pull_ids
+    from address_address_matching_ray.stages.cluster import _cc_arrays
+
+    ends = np.unique(np.concatenate([left, right]).astype("uint64"))
+    old_ep = ends[~_in_sorted(new_ids, ends)]
+    docs = cids = np.array([], dtype="uint64")
+    if len(old_ep):
+        oref = ray.put(old_ep)
+
+        def keep_old(t: pa.Table) -> pa.Table:
+            ids = t["doc_id"].to_numpy(zero_copy_only=False)
+            return t.filter(pa.array(_in_sorted(ray.get(oref), ids)))
+
+        lbl = pull_ids(prior_clusters_ds.map_batches(
+            keep_old, batch_format="pyarrow"), ["doc_id", "cluster_id"])
+        docs = lbl["doc_id"].to_numpy()
+        order = np.argsort(docs, kind="mergesort")
+        docs, cids = docs[order], lbl["cluster_id"].to_numpy()[order]
+    nodes, roots = _cc_arrays(*_contract(left, right, docs, cids))
+    is_new = _in_sorted(new_ids, nodes)
+    new_cid = new_ids.copy()
+    hit = _in_sorted(nodes, new_ids)
+    new_cid[hit] = roots[np.searchsorted(nodes, new_ids[hit])]
+    return new_cid, nodes[~is_new], roots[~is_new]
+
+
+def _publish(prior_clusters_ds, new_clusters, delta_edges,
+             rl_old: np.ndarray, rl_new: np.ndarray) -> IncrementalResult:
+    """Step 6's publish: relabel the prior cluster table through the
+    sorted (old label → merged label) map in one streaming pass (no
+    shuffle) and append the new docs' assignments."""
+    import ray
+    import ray.data as rd
+
     rref = ray.put((rl_old, rl_new))
 
     def relabel_prior(t: pa.Table) -> pd.DataFrame:
@@ -356,8 +422,6 @@ def incremental_linkage(new_pages_ds, prior_clusters_ds, *,
 
     updated_prior = prior_clusters_ds.map_batches(
         relabel_prior, batch_format="pyarrow")
-    new_clusters = attach_singletons(new_universe, new_lab,
-                                     num_partitions=num_partitions)
     merged = rd.from_pandas(pd.DataFrame({
         "doc_id": rl_old, "cluster_id": rl_new})) if len(rl_old) \
         else _empty_labels()

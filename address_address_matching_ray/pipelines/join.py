@@ -167,6 +167,22 @@ def _shuffle_join(left, right, *, on: str, right_on: str, how: str,
         batch_format="pandas")
 
 
+def pull_ids(ds, columns: list[str]) -> pa.Table:
+    """The uint64 ``columns`` of ``ds`` on the driver, in ONE Ray
+    execution: ``materialize`` (free on a materialized Dataset) and one
+    parallel ``ray.get`` of its blocks.  ``to_arrow_refs`` on a lazy
+    plan would execute it twice — once for the blocks, once more for
+    their schema."""
+    import ray
+
+    schema = pa.schema([(c, pa.uint64()) for c in columns])
+    # empty blocks may carry a degenerate schema
+    blocks = [t.select(columns).cast(schema)
+              for t in ray.get(ds.materialize().to_arrow_refs())
+              if t.num_rows]
+    return pa.concat_tables(blocks) if blocks else schema.empty_table()
+
+
 def semi_join_ids(ds, ids_ds, *, id_col: str, ids_col: str | None = None,
                   broadcast_threshold: int = 5_000_000,
                   bloom_max_bytes: int = 64 << 20,
@@ -375,8 +391,12 @@ def bucket_exchange(ds, fn, bucket, size_bytes: int | None = None):
     tagged, repartitioned to ``shuffle_partitions(size_bytes)`` blocks
     and one ``groupby(bucket)`` task runs ``fn`` per bucket."""
     if exchange_is_local(size_bytes):
-        return ds.repartition(1).map_batches(
-            fn, batch_format="pyarrow", batch_size=None)
+        # Arrow blocks in: repartition's reduce takes one block type, and
+        # ``ds`` may mix pandas and Arrow blocks (e.g. a union)
+        return (ds.map_batches(lambda t: t, batch_format="pyarrow",
+                               batch_size=None)
+                .repartition(1).map_batches(fn, batch_format="pyarrow",
+                                            batch_size=None))
 
     def tag(t: pa.Table) -> pa.Table:
         return t.append_column("_b", pa.array(bucket(t), pa.int64()))

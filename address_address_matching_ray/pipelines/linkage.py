@@ -2,9 +2,11 @@
 
     pages ─► extract/normalize/parse (stateless map_batches)
           ─► blocking keys (cached MinHash perms per worker) [shuffle-free]
-          ─► bucketed groupby → candidate pairs (capped, salted-by-window,
-             canonicalized, one row per pair)               [shuffles 1-2;
-             one local task when the key table is small     none ≤ bound]
+          ─► hot-key pass 0 → bucketed groupby → candidate pairs (capped,
+             salted-by-window, canonicalized, one row per pair)
+                                                            [shuffles 1-2;
+             one local task when the key table is small:    none ≤ bound]
+             pass 0 runs inside it, on the table it pairs
           ─► tiered scorer tasks → edges, each pair
              scored once                                    [shuffle-free]
           ─► iterative min-label propagation → clusters     [shuffles 3..k]
@@ -13,7 +15,9 @@
 Every wide step goes through hash partitioning.  ``run_linkage`` is one
 plan: each stage that is read again is persisted by one rule — pinned
 in the object store, or, under a checkpoint root, written as a Parquet
-checkpoint with lineage so re-runs resume (state/checkpoint.py).
+checkpoint with lineage so re-runs resume (state/checkpoint.py).  Each
+stage is one Ray Data execution: nothing probes a lazy stage's schema
+or re-pulls a table the plan already holds.
 """
 
 from __future__ import annotations
@@ -68,10 +72,10 @@ def run_linkage(pages_ds, cfg: PipelineConfig | None = None,
     read again is persisted by one rule: pinned in the object store
     (``materialize``) without ``checkpoint_root``, and with it written
     as a Parquet checkpoint with lineage (``extracted``, ``keys``,
-    ``edges``, ``clusters``) that re-runs reuse.  The key table is read
-    twice (hot-key pass 0 and pair generation), so it is always
-    persisted; its size for shuffle sizing comes from that persisted
-    copy.
+    ``edges``, ``clusters``) that re-runs reuse.  The key table is
+    always persisted: its size for shuffle sizing comes from that
+    persisted copy, and above the local-exchange bound it is read twice
+    (hot-key pass 0 and pair generation).
 
     ``doc_universe``: optional Dataset with a ``doc_id`` column that is
     CHEAP to re-produce (e.g. ``read_parquet(pages_dir,

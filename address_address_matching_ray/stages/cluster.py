@@ -26,7 +26,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from address_address_matching_ray.pipelines.join import bucket_exchange
+from address_address_matching_ray.pipelines.join import (
+    bucket_exchange, pull_ids,
+)
 
 
 def _project(ds, mapping: dict[str, str]):
@@ -51,9 +53,14 @@ def _project(ds, mapping: dict[str, str]):
     return ds.map_batches(f, batch_format="pyarrow")
 
 
+# Default edge count up to which CC pulls its edges to the driver
+# (``connected_components``): a memory guard, not a speed crossover.
+DRIVER_CC_EDGES = 100_000_000
+
+
 def connected_components(edges_ds, num_partitions: int = 16,
                          max_iters: int = 25,
-                         driver_threshold: int = 100_000_000,
+                         driver_threshold: int = DRIVER_CC_EDGES,
                          assume_unique: bool = False):
     """edges(left_id,right_id) → labels Dataset (doc_id, cluster_id).
 
@@ -201,28 +208,64 @@ def dedup_edge_pairs(pairs_ds, buckets: int = 64,
                            size_bytes)
 
 
-def _cc_arrays(left: np.ndarray, right: np.ndarray):
-    """Vectorized hook + pointer-jump connected components on raw id
-    arrays (the worker-side kernel behind ``condense_edges``; the
-    driver path keeps its polars-tuned variant).  Returns
-    ``(nodes_sorted, root_per_node)`` — both uint64; root = component's
-    minimum id because ``np.unique`` sorts and labels start as indices.
-    """
-    nodes = np.unique(np.concatenate([left, right]))
+def _cc_arrays(left: np.ndarray, right: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of the edge list ``(left, right)`` (uint64
+    id arrays): vectorized hook + pointer jumping, no per-edge Python.
+    Returns ``(nodes, roots)``: the sorted distinct ids and each one's
+    component label, the component's minimum id (``nodes`` is sorted
+    and labels start as compressed indices, so the minimum index per
+    component IS the minimum id — the canonical label invariant for
+    free).  The one CC kernel: the driver path, each
+    ``condense_edges`` bucket and the incremental absorb's contracted
+    graph all run it.
+
+    polars (multi-threaded) does the heavy sorts/uniques: on the
+    driver path this is the pipeline's one single-process phase, so
+    its wall time is pure serial residue for the scaling ratio.
+    numpy's unique(return_inverse=True) alone measured 55 s on 28M
+    ids."""
+    import polars as pl
+
+    nodes = (pl.Series(np.concatenate([left, right])).unique().sort()
+             .to_numpy().astype("uint64", copy=False))
     m = len(nodes)
-    li = np.searchsorted(nodes, left).astype(np.int64)
-    ri = np.searchsorted(nodes, right).astype(np.int64)
-    self_ix = np.arange(m, dtype=np.int64)
-    src = np.concatenate([li, ri, self_ix])
-    dst = np.concatenate([ri, li, self_ix])
-    order = np.argsort(src, kind="stable")
-    src_s = src[order]
-    dst_s = dst[order]
-    seg = np.flatnonzero(np.concatenate([[True], src_s[1:] != src_s[:-1]]))
-    label = np.arange(m, dtype=np.int64)
+    if m == 0:
+        return nodes, nodes
+    # node-id → compressed-index inverse via a multi-threaded polars
+    # hash join (a numpy searchsorted over 2E ids was single-thread
+    # serial residue in the scaling ratio).  Compressed indices are
+    # int32: the driver path is gated at ≤100M edges (≤200M nodes <
+    # 2^31), and halving the element width halves the memory traffic of
+    # every concat/gather/reduceat below — this phase is pure serial
+    # residue in the scaling ratio, so bytes moved ≈ wall time.
+    rank = pl.DataFrame({"_id": nodes,
+                         "_ix": np.arange(m, dtype=np.int32)})
+    inv_df = pl.DataFrame({"_id": np.concatenate([left, right])}) \
+        .join(rank, on="_id", how="left", maintain_order="left")
+    inv = inv_df["_ix"].to_numpy().astype(np.int32, copy=False)
+    li, ri = inv[: len(left)], inv[len(left):]
+    # sorted adjacency (with self-loops so every node owns a segment):
+    # the hook step becomes one gather + one ``minimum.reduceat`` —
+    # buffered C kernels, ~10× the throughput of unbuffered
+    # ``np.minimum.at`` on the same edges.  Order within a segment is
+    # irrelevant to a min-reduction, so any sort works; the polars
+    # DataFrame sort fuses the parallel sort with the dst gather
+    # (arg_sort + two numpy fancy-index gathers measured ~4× slower).
+    self_ix = np.arange(m, dtype=np.int32)
+    adj = pl.DataFrame({"_s": np.concatenate([li, ri, self_ix]),
+                        "_d": np.concatenate([ri, li, self_ix])}).sort("_s")
+    src_s = adj["_s"].to_numpy().astype(np.int32, copy=False)
+    dst_s = adj["_d"].to_numpy().astype(np.int32, copy=False)
+    seg_starts = np.flatnonzero(
+        np.concatenate([[True], src_s[1:] != src_s[:-1]]))
+    label = np.arange(m, dtype=np.int32)
     while True:
         prev = label
-        label = np.minimum.reduceat(label[dst_s], seg)
+        # hook: label(n) ← min(label(n), min over neighbors' labels);
+        # reduceat output is node-ordered because src covers 0..m-1
+        label = np.minimum.reduceat(label[dst_s], seg_starts)
+        # compress: pointer jumping until stable
         while True:
             nl = label[label]
             if np.array_equal(nl, label):
@@ -274,83 +317,27 @@ def condense_edges(edges_ds, buckets: int = 64, rounds: int = 2,
 
 
 def _driver_union_find(edges_ds, assume_unique: bool = False):
-    """Small-graph path: collect only the two id columns and run a fully
-    vectorized hook + pointer-jump connected components (numpy; no
-    per-edge Python loop).  ``np.unique`` sorts node ids, so the minimum
-    compressed index per component IS the minimum doc_id — the canonical
-    label invariant for free."""
+    """Small-graph path: pull the two id columns once (``pull_ids``:
+    one parallel block fetch; the sequential iter_batches stream
+    measured ~2.5× slower for the same 5M-edge pull) and run
+    ``_cc_arrays`` on the driver.  The labels come back as one
+    in-memory Arrow table."""
+    import polars as pl
     import ray.data as rd
 
-    import polars as pl
-
-    # polars (multi-threaded) for the heavy sorts/uniques: the driver
-    # UF is the pipeline's one single-process phase, so its wall time
-    # is pure serial residue for the scaling ratio.  numpy's
-    # unique(return_inverse=True) alone measured 55 s on 28M ids.
-    import ray
-
-    # parallel block fetch (to_arrow_refs + one ray.get) — the
-    # sequential iter_batches stream measured ~2.5× slower for the same
-    # 5M-edge pull, and this phase is serial residue in the scaling
-    # ratio
-    blocks = [t.select(["left_id", "right_id"]) for t in ray.get(
-        edges_ds.select_columns(["left_id", "right_id"]).to_arrow_refs())
-        if t.num_rows]          # empty blocks may carry a degenerate schema
-    ids = pl.from_arrow(pa.concat_tables(blocks))
+    ids = pull_ids(edges_ds, ["left_id", "right_id"])
     if not assume_unique:
         # callers whose edges come from ``pairs_stage`` (one row per
         # pair by construction) pass assume_unique=True and skip this
         # serial hash pass; contracted or hand-built edge lists may
         # repeat pairs.
-        ids = ids.unique()
-    left = ids["left_id"].to_numpy().astype("uint64", copy=False)
-    right = ids["right_id"].to_numpy().astype("uint64", copy=False)
-    nodes = (pl.concat([ids["left_id"], ids["right_id"]])
-             .unique().sort().to_numpy().astype("uint64", copy=False))
-    m = len(nodes)
-    # node-id → compressed-index inverse via a multi-threaded polars
-    # hash join (a numpy searchsorted over 2E ids was single-thread
-    # serial residue in the scaling ratio).  Compressed indices are
-    # int32: the driver path is gated at ≤100M edges (≤200M nodes <
-    # 2^31), and halving the element width halves the memory traffic of
-    # every concat/gather/reduceat below — this phase is pure serial
-    # residue in the scaling ratio, so bytes moved ≈ wall time.
-    rank = pl.DataFrame({"_id": nodes,
-                         "_ix": np.arange(m, dtype=np.int32)})
-    inv_df = pl.DataFrame({"_id": np.concatenate([left, right])}) \
-        .join(rank, on="_id", how="left")
-    inv = inv_df["_ix"].to_numpy().astype(np.int32, copy=False)
-    li, ri = inv[: len(left)], inv[len(left):]
-    # sorted adjacency (with self-loops so every node owns a segment):
-    # the hook step becomes one gather + one ``minimum.reduceat`` —
-    # buffered C kernels, ~10× the throughput of unbuffered
-    # ``np.minimum.at`` on the same edges.  Order within a segment is
-    # irrelevant to a min-reduction, so any sort works; the polars
-    # DataFrame sort fuses the parallel sort with the dst gather
-    # (arg_sort + two numpy fancy-index gathers measured ~4× slower).
-    self_ix = np.arange(m, dtype=np.int32)
-    adj = pl.DataFrame({"_s": np.concatenate([li, ri, self_ix]),
-                        "_d": np.concatenate([ri, li, self_ix])}).sort("_s")
-    src_s = adj["_s"].to_numpy().astype(np.int32, copy=False)
-    dst_s = adj["_d"].to_numpy().astype(np.int32, copy=False)
-    seg_starts = np.flatnonzero(
-        np.concatenate([[True], src_s[1:] != src_s[:-1]]))
-    label = np.arange(m, dtype=np.int32)
-    while True:
-        prev = label
-        # hook: label(n) ← min(label(n), min over neighbors' labels);
-        # reduceat output is node-ordered because src covers 0..m-1
-        label = np.minimum.reduceat(label[dst_s], seg_starts)
-        # compress: pointer jumping until stable
-        while True:
-            nl = label[label]
-            if np.array_equal(nl, label):
-                break
-            label = nl
-        if np.array_equal(prev, label):
-            break
-    out = pd.DataFrame({"doc_id": nodes, "cluster_id": nodes[label]})
-    return rd.from_pandas(out)
+        ids = pl.from_arrow(ids).unique().to_arrow()
+    nodes, roots = _cc_arrays(
+        ids["left_id"].to_numpy().astype("uint64", copy=False),
+        ids["right_id"].to_numpy().astype("uint64", copy=False))
+    return rd.from_arrow(pa.table({"doc_id": pa.array(nodes, pa.uint64()),
+                                   "cluster_id": pa.array(roots,
+                                                          pa.uint64())}))
 
 
 def filter_out_ids(ds, ids_ds, id_col: str = "doc_id",
@@ -416,23 +403,15 @@ def attach_singletons(extracted_ds, labels_ds, num_partitions: int = 16,
     n_labels = labels_ds.count()
 
     if n_labels <= broadcast_threshold:
+        import polars as pl
         import ray
 
-        lab_blocks = [t for t in ray.get(labels_ds.to_arrow_refs())
-                      if t.num_rows]
-        lab_t = (pa.concat_tables(lab_blocks) if lab_blocks
-                 else pa.table({}))
-        if lab_t.num_rows and "doc_id" in lab_t.column_names:
-            import polars as pl
-
-            # parallel fetch + multi-threaded sort: this broadcast prep
-            # is driver-serial, so it shows up 1:1 in the scaling ratio
-            lab = pl.from_arrow(lab_t).sort("doc_id")
-            keys_arr = lab["doc_id"].to_numpy().astype("uint64", copy=False)
-            vals_arr = lab["cluster_id"].to_numpy().astype("uint64", copy=False)
-        else:
-            keys_arr = np.array([], dtype="uint64")
-            vals_arr = np.array([], dtype="uint64")
+        # parallel fetch + multi-threaded sort: this broadcast prep is
+        # driver-serial, so it shows up 1:1 in the scaling ratio
+        lab = pl.from_arrow(pull_ids(labels_ds, ["doc_id", "cluster_id"])) \
+            .sort("doc_id")
+        keys_arr = lab["doc_id"].to_numpy().astype("uint64", copy=False)
+        vals_arr = lab["cluster_id"].to_numpy().astype("uint64", copy=False)
         # numpy arrays broadcast zero-copy from the object store (a dict
         # would be re-deserialized in every task); lookup = searchsorted
         ref = ray.put((keys_arr, vals_arr))

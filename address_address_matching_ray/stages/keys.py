@@ -37,6 +37,7 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from address_address_matching_ray.config import PipelineConfig
 from address_address_matching_ray.functions.minhash import (
@@ -56,6 +57,9 @@ _TRACK_Q_RE = re.compile(
 
 PAYLOAD_COLS = ("norm_addr", "house", "street_name", "street_type",
                 "unit", "city", "state", "zip")
+KEYS_SCHEMA = pa.schema([("doc_id", pa.uint64()), ("block_key", pa.string()),
+                         ("key_kind", pa.string())]
+                        + [(c, pa.string()) for c in PAYLOAD_COLS])
 
 
 def _hash_hex(vals: np.ndarray) -> np.ndarray:
@@ -134,6 +138,8 @@ class KeyDeriver:
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
         n = batch.num_rows
+        if n == 0:          # e.g. a batch whose rows were all rejected
+            return KEYS_SCHEMA.empty_table()
         doc_id = batch["doc_id"].to_numpy(zero_copy_only=False)
         payload = {c: batch[c].to_pandas().fillna("").to_numpy(dtype=object)
                    for c in PAYLOAD_COLS}
@@ -213,6 +219,10 @@ _DERIVER_CACHE: dict[str, KeyDeriver] = {}
 
 
 def _derive_task(batch: pa.Table, cfg: PipelineConfig) -> pa.Table:
+    if "reject_reason" in batch.column_names:
+        # rows failing the require-filters never enter the shuffle (M18);
+        # a null reason compares null and is dropped too
+        batch = batch.filter(pc.equal(batch["reject_reason"], ""))
     fp = cfg.fingerprint()
     deriver = _DERIVER_CACHE.get(fp)
     if deriver is None:
@@ -224,13 +234,12 @@ def _derive_task(batch: pa.Table, cfg: PipelineConfig) -> pa.Table:
 def keys_stage(extracted, cfg: PipelineConfig | None = None,
                batch_size: int = 2048):
     """extracted → keys: stateless tasks + per-worker cache (state is
-    small, so the warm task pool beats spawning an actor pool)."""
+    small, so the warm task pool beats spawning an actor pool).
+
+    Rows with a non-empty ``reject_reason`` are dropped inside the same
+    task, so the stage reads its input once: no schema probe, which on
+    a lazy input would run extract over a whole first file."""
     cfg = cfg or PipelineConfig()
-    schema = extracted.schema()
-    schema_names = schema.names if schema is not None else []
-    if "reject_reason" in schema_names:
-        # rows failing the require-filters never enter the shuffle (M18)
-        extracted = extracted.filter(expr='reject_reason == ""')
     return extracted.map_batches(
         _derive_task, fn_kwargs={"cfg": cfg},
         batch_format="pyarrow", batch_size=batch_size)

@@ -206,35 +206,54 @@ def _hash_strings(arr) -> np.ndarray:
     return pl.from_arrow(arr).hash(seed=0).to_numpy().astype(np.uint64)
 
 
+# pass 0 counts a deterministic 1/_HOT_SAMPLE_MOD doc_id sample (a power
+# of 2, so the sample is a bit mask)
+_HOT_SAMPLE_MOD = 8
+
+
+def _hot_rule(threshold: int):
+    """Pass 0's counting rule: ``(sample, cut)`` — a row filter keeping
+    the doc_id sample, and the threshold scaled to it.  A key is hot
+    when its sampled row count exceeds ``cut``.
+
+    Salting is a load guard, not an exact count: a hot key's members
+    are uniform in doc_id, and at threshold ≥ 1600 the sampled
+    estimate's noise (±√(threshold/mod)) cannot flip a materially hot
+    key.  Sample keys stay stable across runs/retries, so salting
+    decisions stay deterministic."""
+    mask = np.uint64(_HOT_SAMPLE_MOD - 1)
+
+    def sample(t: pa.Table) -> pa.Table:
+        ids = t["doc_id"].to_numpy(zero_copy_only=False)
+        return t.filter(pa.array((ids & mask) == 0))
+
+    return sample, max(2, threshold // _HOT_SAMPLE_MOD)
+
+
+def _hot_keys_in(t: pa.Table, threshold: int) -> set:
+    """Pass 0 over one in-memory key table (``_hot_rule``'s sample and
+    cut): the local pair task's hot set, equal to ``_find_hot_keys``
+    over the same rows."""
+    sample, cut = _hot_rule(threshold)
+    vc = pc.value_counts(sample(t)["block_key"].combine_chunks())
+    return set(vc.field("values").filter(
+        pc.greater(vc.field("counts"), cut)).to_pylist())
+
+
 def _find_hot_keys(keys_ds, threshold: int, buckets: int = 64,
-                   sample_mod: int = 8,
                    keys_size_bytes: int | None = None,
                    driver_bytes_threshold: int = 2**32) -> set:
-    """Pass 0: keys whose row count exceeds ``threshold``.
+    """Pass 0 as its own step: keys whose row count exceeds
+    ``threshold``, counted by ``_hot_rule``.
 
     Shape matters: a ``groupby(block_key).sum`` would create millions of
     single-row groups (Python-per-group in the aggregate finalize — it
     measured 570 s on 12M keys).  Instead: project to the bare key
     column, per-batch partial counts (combiner), bucket by
     ``hash(key) % B``, ONE vectorized value_counts per bucket.
-
-    Counts run over a DETERMINISTIC 1/``sample_mod`` doc_id sample with
-    the threshold scaled down: salting is a load guard, not an exact
-    count — a hot key's members are uniform in doc_id, and at
-    threshold ≥ 1600 the sampled estimate's noise (±√(threshold/mod))
-    cannot flip a materially hot key.  Sample keys stay stable across
-    runs/retries, so salting decisions stay deterministic.
     """
-    if sample_mod > 1:
-        assert sample_mod & (sample_mod - 1) == 0, "sample_mod: power of 2"
-        mask = np.uint64(sample_mod - 1)
-
-        def sample(t: pa.Table) -> pa.Table:
-            ids = t["doc_id"].to_numpy(zero_copy_only=False)
-            return t.filter(pa.array((ids & mask) == 0))
-
-        keys_ds = keys_ds.map_batches(sample, batch_format="pyarrow")
-        threshold = max(2, threshold // sample_mod)
+    sample, threshold = _hot_rule(threshold)
+    keys_ds = keys_ds.map_batches(sample, batch_format="pyarrow")
 
     def partial(t: pa.Table) -> pa.Table:
         # Arrow-native per-batch combiner: value_counts, no
@@ -253,7 +272,7 @@ def _find_hot_keys(keys_ds, threshold: int, buckets: int = 64,
                       .map_batches(partial, batch_format="pyarrow")
 
     if keys_size_bytes is not None and \
-            keys_size_bytes // sample_mod <= driver_bytes_threshold:
+            keys_size_bytes // _HOT_SAMPLE_MOD <= driver_bytes_threshold:
         # small/medium path: the sampled per-batch partials are a few
         # MB — one driver-side vectorized sum beats a second Ray
         # shuffle's fixed cost (~1.5 s) by ~3×.  The distributed
@@ -273,21 +292,55 @@ def _find_hot_keys(keys_ds, threshold: int, buckets: int = 64,
     return set(hot_pdf["block_key"]) if len(hot_pdf) else set()
 
 
+def _salt(t: pa.Table, hotset: set, salt_n: int) -> pa.Table:
+    """Rewrite hot keys to ``key#s{doc_id % salt_n}`` and append the
+    ``key#bridge`` rows (see ``pairs_stage``).  Arrow in/out: blocks
+    stay compact string buffers through the exchange (pandas object
+    blocks pickled to 5× the bytes and dominated it)."""
+    if not hotset:
+        return t
+    is_hot = pc.is_in(
+        t["block_key"], value_set=pa.array(sorted(hotset), pa.string()),
+    ).to_numpy(zero_copy_only=False)
+    if not is_hot.any():
+        return t
+    ids = t["doc_id"].to_numpy(zero_copy_only=False)
+    # bridge block: a deterministic ~1/salt sample of the hot key's
+    # members keeps cross-salt connectivity
+    bridge_mask = is_hot & (((ids // salt_n) % salt_n) == 0)
+    bridge = t.filter(pa.array(bridge_mask))
+    bridge = bridge.set_column(
+        bridge.column_names.index("block_key"), "block_key",
+        pc.binary_join_element_wise(
+            bridge["block_key"], pa.array(["#bridge"] * bridge.num_rows), ""))
+    bk = t["block_key"].to_numpy(zero_copy_only=False).copy()
+    salts = (ids % np.uint64(salt_n)).astype("int64")
+    hot_idx = np.flatnonzero(is_hot)
+    bk[hot_idx] = (bk[hot_idx] + "#s"
+                   + salts[hot_idx].astype(str).astype(object))
+    t = t.set_column(t.column_names.index("block_key"), "block_key",
+                     pa.array(bk, pa.string()))
+    return pa.concat_tables([t, bridge])
+
+
 def pairs_stage(keys_ds, cfg: PipelineConfig | None = None,
                 buckets: int = 64, salt_hot: bool = True,
                 keys_size_bytes: int | None = None):
     """keys → deduped candidate pairs.
 
-    Pass 0 (optional, combiner-pre-aggregated): count keys → hot set.
-    Then, when ``keys_size_bytes`` is at or below
-    ``pipelines.join.LOCAL_EXCHANGE_BYTES``, ONE task pairs the whole
-    key table and dedups it, so every pair is already unique.  Above
-    the bound (or with the size unknown), two exchanges:
-    shuffle #1, ``groupby(key_bucket)`` (key = hash(block_key) % B),
-    pairs and dedups per bucket; shuffle #2, ``dedup_edge_pairs``
+    When ``keys_size_bytes`` is at or below
+    ``pipelines.join.LOCAL_EXCHANGE_BYTES``, ONE task holds the whole
+    key table: it counts hot keys in place (pass 0, ``_hot_keys_in``),
+    salts, pairs and dedups, so every pair is already unique and the
+    stage is one Ray execution.  Above the bound (or with the size
+    unknown), pass 0 is its own step (``_find_hot_keys``,
+    combiner-pre-aggregated), then two exchanges: shuffle #1,
+    ``groupby(key_bucket)`` (key = hash(block_key) % B), pairs and
+    dedups per bucket; shuffle #2, ``dedup_edge_pairs``
     (``groupby(pair_bucket)``), collapses pairs co-blocked under keys in
     different buckets.  Either way every pair is scored once, and the
-    rows are identical: a block never spans buckets.
+    rows are identical: both passes 0 apply one rule (``_hot_rule``),
+    and a block never spans buckets.
 
     Skew: keys hotter than ``8 × cfg.max_block_size`` are SALTED —
     ``key#s{doc_id % salt_buckets}`` spreads one mega-block's ingestion
@@ -297,69 +350,48 @@ def pairs_stage(keys_ds, cfg: PipelineConfig | None = None,
     holding a deterministic ~1/salt sample of the hot key's members
     (SURVEY §4.2: score cross-salt pairs against a capped sample).
 
-    Pass 0 and pair generation both read ``keys_ds``, so callers hand
-    in a persisted (pinned or checkpointed) key table, and its measured
-    size as ``keys_size_bytes`` — ``None`` sends pass 0 and the pair
-    exchange to their distributed paths.
+    Above the bound pass 0 and pair generation both read ``keys_ds``,
+    so callers hand in a persisted (pinned or checkpointed) key table,
+    and its measured size as ``keys_size_bytes`` — ``None`` sends pass
+    0 and the pair exchange to their distributed paths.
     """
-    cfg = cfg or PipelineConfig()
-
-    hot: set = set()
-    if salt_hot:
-        hot = _find_hot_keys(keys_ds, threshold=8 * cfg.max_block_size,
-                             buckets=buckets,
-                             keys_size_bytes=keys_size_bytes)
-
     import ray
-
-    hot_ref = ray.put(hot)
-    salt_n = max(2, cfg.salt_buckets)
-
-    def salt(t: pa.Table) -> pa.Table:
-        # Arrow in/out: blocks stay compact string buffers through the
-        # exchange (pandas object blocks pickled to 5× the bytes and
-        # dominated it)
-        hotset = ray.get(hot_ref)
-        if hotset:
-            is_hot = pc.is_in(
-                t["block_key"],
-                value_set=pa.array(sorted(hotset), pa.string()),
-            ).to_numpy(zero_copy_only=False)
-            if is_hot.any():
-                ids = t["doc_id"].to_numpy(zero_copy_only=False)
-                # bridge block: a deterministic ~1/salt sample of the hot
-                # key's members keeps cross-salt connectivity
-                bridge_mask = is_hot & (((ids // salt_n) % salt_n) == 0)
-                bridge = t.filter(pa.array(bridge_mask))
-                bridge = bridge.set_column(
-                    bridge.column_names.index("block_key"), "block_key",
-                    pc.binary_join_element_wise(
-                        bridge["block_key"],
-                        pa.array(["#bridge"] * bridge.num_rows), ""))
-                bk = t["block_key"].to_numpy(zero_copy_only=False).copy()
-                salts = (ids % np.uint64(salt_n)).astype("int64")
-                hot_idx = np.flatnonzero(is_hot)
-                bk[hot_idx] = (bk[hot_idx] + "#s"
-                               + salts[hot_idx].astype(str).astype(object))
-                t = t.set_column(t.column_names.index("block_key"),
-                                 "block_key", pa.array(bk, pa.string()))
-                t = pa.concat_tables([t, bridge])
-        return t
 
     from address_address_matching_ray.pipelines.join import (
         bucket_exchange, exchange_is_local,
     )
 
+    cfg = cfg or PipelineConfig()
+    threshold = 8 * cfg.max_block_size
+    salt_n = max(2, cfg.salt_buckets)
+
+    def key_bucket(t: pa.Table) -> np.ndarray:
+        return _key_bucket(t, buckets)
+
+    if exchange_is_local(keys_size_bytes):
+        # a key's rows, and so its count and its salted sub-blocks, stay
+        # in one bucket: the whole table is one bucket here
+        def pair_all(t: pa.Table) -> pa.Table:
+            hot = (_hot_keys_in(t, threshold) if salt_hot and t.num_rows
+                   else set())
+            return make_pairs_bucket_arrow(_salt(t, hot, salt_n), cfg)
+
+        return bucket_exchange(keys_ds, pair_all, key_bucket,
+                               keys_size_bytes)
+
+    hot = (_find_hot_keys(keys_ds, threshold=threshold, buckets=buckets,
+                          keys_size_bytes=keys_size_bytes)
+           if salt_hot else set())
+    hot_ref = ray.put(hot)
+
+    def salt(t: pa.Table) -> pa.Table:
+        return _salt(t, ray.get(hot_ref), salt_n)
+
     # a block (and so each of its pairs) never spans key buckets
     pairs = bucket_exchange(
         keys_ds.map_batches(salt, batch_format="pyarrow"),
-        lambda t: make_pairs_bucket_arrow(t, cfg),
-        lambda t: _key_bucket(t, buckets),
+        lambda t: make_pairs_bucket_arrow(t, cfg), key_bucket,
         keys_size_bytes)
-    if exchange_is_local(keys_size_bytes):
-        # one task paired and deduped the whole key table: each pair
-        # already appears once
-        return pairs
 
     # one row per (left_id, right_id): a pair co-blocked under keys in
     # different key buckets is collapsed here, before scoring

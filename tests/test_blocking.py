@@ -200,12 +200,27 @@ def test_local_and_bucketed_pairs_match(ray_session, monkeypatch):
 
 
 def test_hot_key_pass_paths_match(ray_session):
-    """Pass 0's driver-side sum and its bucketed exchange find the same
-    hot keys."""
-    from address_address_matching_ray.stages.pairs import _find_hot_keys
+    """Pass 0's driver-side sum, its bucketed exchange and the local
+    pair task's in-place count (``_hot_keys_in``) find the same hot
+    keys, on both sides of the sampled cut."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+    from address_address_matching_ray.stages.pairs import (
+        _find_hot_keys, _hot_keys_in,
+    )
 
-    keys = _exchange_keys()
-    driver = _find_hot_keys(keys, threshold=40, buckets=4,
-                            keys_size_bytes=keys.size_bytes())
-    bucketed = _find_hot_keys(keys, threshold=40, buckets=4)
-    assert driver == bucketed == {"mega"}
+    # the test_hot_key_salting corpus: 15 of its 120 docs fall in the
+    # 1/8 doc_id sample, so the cut (threshold // 8) flips between
+    # 112 and 120
+    salting = rd.from_pandas(_key_rows("mega", list(range(120)))) \
+        .repartition(3).materialize()
+    cases = [(_exchange_keys(), 40, {"mega"}), (salting, 32, {"mega"}),
+             (salting, 112, {"mega"}), (salting, 120, set())]
+    for keys, threshold, want in cases:
+        driver = _find_hot_keys(keys, threshold=threshold, buckets=4,
+                                keys_size_bytes=keys.size_bytes())
+        bucketed = _find_hot_keys(keys, threshold=threshold, buckets=4)
+        in_task = _hot_keys_in(
+            pa.concat_tables(ray.get(keys.to_arrow_refs())), threshold)
+        assert driver == bucketed == in_task == want, threshold

@@ -12,7 +12,8 @@ from address_address_matching_ray.sources.synth import synth_pages
 
 
 def _canon(ds) -> pd.DataFrame:
-    df = ds.to_pandas()
+    # an empty Dataset reads back with no columns
+    df = ds.to_pandas().reindex(columns=["doc_id", "cluster_id"])
     df = df.astype({"doc_id": "uint64", "cluster_id": "uint64"})
     return df.sort_values("doc_id").reset_index(drop=True)
 
@@ -81,10 +82,22 @@ def test_keys_checkpoint_feeds_incremental(ray_session, tmp_path):
     assert _canon(inc.clusters).equals(_canon(full.clusters))
 
 
+def _edge_rows(res) -> list:
+    df = res.delta_edges.to_pandas()
+    return sorted(zip(df.left_id.astype("uint64"), df.right_id.astype("uint64"),
+                      df.accepted.astype(bool)))
+
+
+def _assert_paths_match(a, b):
+    for view in ("clusters", "new_clusters", "merged_labels"):
+        assert _canon(getattr(a, view)).equals(_canon(getattr(b, view))), view
+    assert _edge_rows(a) == _edge_rows(b)
+
+
 def test_incremental_forced_shuffle_paths_match(ray_session):
     """broadcast_threshold=0 pushes every small-side gate onto the
-    bucketed membership/equi-join fallbacks; output must be identical
-    to the broadcast path."""
+    bucketed membership/equi-join fallbacks; every output must be
+    identical to the driver-array path below the gate."""
     n, seed = 400, 23
     prior_pages, new_pages = _split(n, seed)
     prior = run_linkage(prior_pages, buckets=8, num_partitions=4)
@@ -96,7 +109,41 @@ def test_incremental_forced_shuffle_paths_match(ray_session):
                             prior_extracted_ds=prior.extracted,
                             buckets=8, num_partitions=4,
                             broadcast_threshold=0)
-    assert _canon(a.clusters).equals(_canon(b.clusters))
+    _assert_paths_match(a, b)
+    assert _canon(a.merged_labels).shape[0]
+    assert any(acc for _, _, acc in _edge_rows(a))
+
+
+def test_incremental_no_accepted_edge(ray_session):
+    """A delta whose pairs are all rejected: every new doc becomes its
+    own cluster, prior labels are untouched and the relabel map is
+    empty — on both the driver-array and the bucketed path."""
+    n, seed = 400, 23
+    prior_pages, new_pages = _split(n, seed)
+    prior = run_linkage(prior_pages, buckets=8, num_partitions=4)
+    prior_clusters = prior.clusters.materialize()
+
+    def reject_all(pairs):
+        return pairs.map_batches(lambda df: pd.DataFrame({
+            "left_id": df["left_id"].astype("uint64"),
+            "right_id": df["right_id"].astype("uint64"),
+            "accepted": False}), batch_format="pandas")
+
+    runs = [incremental_linkage(new_pages, prior_clusters,
+                                prior_extracted_ds=prior.extracted,
+                                score_fn=reject_all, buckets=8,
+                                num_partitions=4, broadcast_threshold=t)
+            for t in (50_000_000, 0)]
+    for res in runs:
+        assert res.delta_edges.count() > 0
+        new_df = _canon(res.new_clusters)
+        assert len(new_df) == n // 2
+        assert (new_df.cluster_id == new_df.doc_id).all()
+        assert res.merged_labels.count() == 0
+        want = pd.concat([_canon(prior_clusters), new_df])
+        assert _canon(res.clusters).equals(
+            want.sort_values("doc_id").reset_index(drop=True))
+    _assert_paths_match(*runs)
 
 
 def test_incremental_empty_delta(ray_session):

@@ -227,6 +227,51 @@ def test_connected_components_pulls_input_once(ray_session, tmp_path):
     assert log.read_text().splitlines() == ["batch"]
 
 
+def test_keys_stage_reads_input_once(ray_session, tmp_path):
+    """``keys_stage`` over a lazy input runs that input once: the tapped
+    batches add up to the input rows (a schema probe would run the
+    first batch again)."""
+    import pyarrow as pa
+    from address_address_matching_ray.stages.extract import extract_stage
+    from address_address_matching_ray.stages.keys import keys_stage
+
+    log = tmp_path / "batches.log"
+
+    def tap(t: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write(f"{t.num_rows}\n")
+        return t
+
+    lazy = extract_stage(synth_pages(300, seed=5)).map_batches(
+        tap, batch_format="pyarrow")
+    keys = keys_stage(lazy).materialize()
+    assert keys.count() > 0
+    assert sum(map(int, log.read_text().split())) == 300
+
+
+def test_keys_stage_drops_rejected_rows(ray_session):
+    """Rows with a non-empty or null ``reject_reason`` derive no keys."""
+    import pyarrow as pa
+    import ray.data as rd
+    from address_address_matching_ray.stages.keys import (
+        PAYLOAD_COLS, keys_stage,
+    )
+
+    n = 3
+    cols = {"doc_id": pa.array([1, 2, 3], pa.uint64()),
+            "url": pa.array(["http://a.com/x"] * n),
+            "extracted_text": pa.array(["55 berry st brooklyn"] * n),
+            "reject_reason": pa.array(["", "missing_zip", None])}
+    cols.update({c: pa.array(["55 berry st" if c == "norm_addr" else c] * n)
+                 for c in PAYLOAD_COLS})
+    table = pa.table(cols)
+    keys = keys_stage(rd.from_arrow(table)).to_pandas()
+    assert set(keys.doc_id) == {1}
+    # one-row batches: the rejected rows leave empty batches behind
+    keys = keys_stage(rd.from_arrow(table), batch_size=1).to_pandas()
+    assert set(keys.doc_id) == {1}
+
+
 def test_self_match_roundtrip(linkage_run):
     """U:1656-1762 analog: every record resolves into a cluster that
     contains itself (trivially) and exact-duplicate rows land together."""

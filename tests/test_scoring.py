@@ -151,10 +151,9 @@ _R = {"street_name": "berry st", "street_type": "", "predir": "", "house": "55",
       "unit": "", "city": "brooklyn", "state": "NY", "zip": "11211"}
 
 # Value shapes a per-distinct-value scorer must keep, each one the scalar
-# oracle accepts.  A whitespace-only house is only set against an empty
-# house: the oracle scores "  " vs "55" as 0, the batch scorer as absent.
-# None is kept out of the record street fields, which the oracle reads
-# as the text "None".
+# oracle accepts.  A whitespace-only house is present: against "55" it
+# scores 0, against an empty house it is absent.  None is kept out of
+# the record street fields, which the oracle reads as the text "None".
 EDGE_SHAPES = [
     ({k: None for k in _Q}, _R),
     (_Q, {**_R, "house": None, "unit": None, "city": None, "state": None,
@@ -162,6 +161,8 @@ EDGE_SHAPES = [
     ({**_Q, "street": "", "city": "", "zip": ""}, {**_R, "street_name": ""}),
     ({**_Q, "house": "  "}, {**_R, "house": ""}),
     ({**_Q, "house": ""}, {**_R, "house": "   "}),
+    ({**_Q, "house": "  "}, _R),
+    (_Q, {**_R, "house": "  "}),
     ({**_Q, "street": "berry st apt 4b"}, {**_R, "unit": "4B"}),
     ({**_Q, "street": "berry st apt 4b"}, {**_R, "unit": "9Z"}),
     (_Q, {**_R, "street_name": "berry st apt 4b"}),
