@@ -104,12 +104,14 @@ class PipelineConfig:
     salt_buckets: int = 8            # hot-key salt fan-out
 
     # ── execution ──
-    score_batch_size: int = 4096
-    # rows per block for the pre-scoring streaming split-repartition:
-    # ~6 µs/pair scoring (PairScorer CPU time on the perfbench link_skew
-    # pairs in 4096-row batches, one Xeon vCPU) ⇒ ~250k rows ≈ 1.5 s
-    # tasks — small enough to pack cores evenly behind a skewed bucket
-    # groupby, big enough that per-task overhead stays <1%
+    # rows per block for the pre-scoring streaming split-repartition;
+    # the scorer takes a whole block per call.  1.3 µs/pair scoring
+    # (PairScorer CPU time, one call over the perfbench link_skew
+    # corpus's 69k pairs; 2.9 µs/pair over the 8k-page crawl's 17k
+    # pairs, whose docs repeat less; one Xeon vCPU) ⇒ 250k rows ≈
+    # 0.3–0.7 s tasks — small enough to pack cores evenly behind a
+    # skewed bucket groupby, big enough that per-task overhead (a few
+    # ms) stays near 1%
     score_block_rows: int = 250_000
     target_max_block_size_mb: int = 128
     seed: int = 42

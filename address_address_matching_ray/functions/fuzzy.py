@@ -314,27 +314,40 @@ def batch_partial_ratio(a_strs, b_strs) -> np.ndarray:
     return out
 
 
+# distinct pairs per kernel call: the bit-parallel LCS tables grow with
+# the pairs of one call, and a 4096-row batch has at most 4096
+KERNEL_PAIRS = 4096
+
+
+def apply_indexed(fn, a, a_idx, b, b_idx) -> np.ndarray:
+    """``fn`` over the pairs ``(a[a_idx[k]], b[b_idx[k]])``, run once per
+    DISTINCT string pair and scattered back.
+
+    ``a`` and ``b`` are per-value arrays (one entry per document, say)
+    and the index arrays pick a value per pair, so strings are hashed
+    once per value and pairs are deduplicated on integer codes.  Each
+    ``fn`` call sees at most ``KERNEL_PAIRS`` distinct pairs."""
+    import pandas as pd
+
+    ca, ua = pd.factorize(np.asarray(a, dtype=object), use_na_sentinel=False)
+    cb, ub = pd.factorize(np.asarray(b, dtype=object), use_na_sentinel=False)
+    width = max(len(ub), 1)
+    inv, pairs = pd.factorize(ca[a_idx].astype(np.int64) * width + cb[b_idx])
+    xa, xb = np.divmod(pairs, width)
+    vals = [np.asarray(fn(list(ua[xa[s:s + KERNEL_PAIRS]]),
+                          list(ub[xb[s:s + KERNEL_PAIRS]])))
+            for s in range(0, max(len(pairs), 1), KERNEL_PAIRS)]
+    return np.concatenate(vals)[inv]
+
+
 def apply_unique_pairs(fn, a_strs, b_strs) -> np.ndarray:
     """Run a batched pair-metric only on the DISTINCT (a, b) string
     pairs of a batch and scatter the results back.  Candidate batches
     repeat the same component strings heavily (each doc appears in many
     pairs; streets/cities repeat across docs), so this typically cuts
     the DP work several-fold."""
-    import pandas as pd
-
-    A = np.asarray(a_strs, dtype=object)
-    B = np.asarray(b_strs, dtype=object)
-    ca, _ = pd.factorize(A)
-    cb, ub = pd.factorize(B)
-    codes = ca.astype(np.int64) * (len(ub) + 1) + cb
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    uniq_mask = np.concatenate([[True], sorted_codes[1:] != sorted_codes[:-1]])
-    first = order[uniq_mask]                      # representative row per pair
-    inv = np.empty(len(codes), dtype=np.int64)
-    inv[order] = np.cumsum(uniq_mask) - 1
-    vals = np.asarray(fn([A[i] for i in first], [B[i] for i in first]))
-    return vals[inv]
+    rows = np.arange(len(a_strs))
+    return apply_indexed(fn, a_strs, rows, b_strs, rows)
 
 
 def levenshtein(a: str, b: str) -> int:

@@ -24,13 +24,15 @@ candidate pairs at once:
 "Absent" component scores are NaN (the reference omits dict keys); all
 ``.get(k, 0)`` semantics use ``nan→0`` coalescing.
 
-Per distinct value, gathered by code: every transformation of one
-side's strings runs once per distinct value of the batch
-(``per_value``) and is gathered back to the pairs by integer code; per
-pair there remain only equality tests on gathered values and the
-``fuzzy`` kernels, which run once per distinct string pair.  Columns
-may be object arrays or ``pd.Categorical`` (already encoded, so not
-hashed again).
+Per document, gathered by index: the one-sided features of each side
+(``query_features``, ``record_features``) are computed once per row of
+a per-document table, each transformation once per distinct value
+(``per_value``).  The ``pair_*`` functions score pairs given as index
+arrays ``li``/``ri`` into those tables; per pair there remain only
+integer equality tests and the ``fuzzy`` kernels, which run once per
+distinct value pair (``fuzzy.apply_indexed``).  ``component_scores``,
+``unit_adjustment`` and ``quality_score`` are the same functions over
+aligned row pairs (``li = ri = arange(n)``).
 """
 
 from __future__ import annotations
@@ -63,10 +65,7 @@ def _encode(cols) -> tuple[np.ndarray, list[np.ndarray]]:
     """
     codes, parts = None, []
     for col in cols:
-        if isinstance(col, pd.Categorical):     # already encoded
-            c, u = col.codes.astype(np.int64), col.categories.to_numpy(object)
-        else:
-            c, u = pd.factorize(np.asarray(col, dtype=object))
+        c, u = pd.factorize(np.asarray(col, dtype=object))
         if len(c) and c.min() < 0:                 # None/NaN → ""
             c = np.where(c < 0, len(u), c)
             u = np.concatenate([u, np.array([""], dtype=object)])
@@ -81,12 +80,17 @@ def _encode(cols) -> tuple[np.ndarray, list[np.ndarray]]:
 
 def per_value(fn, *cols, dtype=object) -> np.ndarray:
     """``fn`` over each distinct row of ``cols`` (nulls read as ""),
-    gathered back to every row by code.  Pair batches repeat each doc's
-    strings many times, so per-side work runs once per distinct value.
-    A tuple-valued ``fn`` gives an ``(n, len(tuple))`` array: unpack
-    its ``.T`` into one column per tuple element."""
+    gathered back to every row by code.  Documents repeat the same
+    strings many times, so per-side work runs once per distinct value."""
     codes, distinct = _encode(cols)
     return np.array([fn(*v) for v in zip(*distinct)], dtype=dtype)[codes]
+
+
+def _per_value_cols(fn, width: int, *cols) -> list[np.ndarray]:
+    """``per_value`` of a ``width``-tuple-valued ``fn``: one object
+    array per tuple element."""
+    out = per_value(fn, *cols)
+    return list(out.T) if len(out) else [out] * width
 
 
 def _fold(fn):
@@ -114,74 +118,124 @@ def _unit(unit: str, unit_in_street: str) -> str:
     return normalize_unit(unit or unit_in_street)
 
 
-def component_scores(q: dict[str, np.ndarray], r: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Batch component scores — optimized.py:617-684.
+# (component, per-value case fold, kernel) of the fields compared as
+# folded strings: city partial_ratio on lowercase (O:676), zip and
+# state ratio (O:678-682)
+_FIELDS = (("city", str.lower, fuzzy.batch_partial_ratio),
+           ("zip", str, fuzzy.batch_ratio),
+           ("state", str.upper, fuzzy.batch_ratio))
 
-    ``q``: parsed query columns ``house street unit city state zip``.
-    ``r``: record columns ``house street_name street_type predir unit
-    city state zip`` (our records are parsed pages; PREDIR folds into
-    the street the same way the reference joins PREDIR+STREET+STRTYPE).
-    Returns one float64 array per component key, NaN = score absent.
 
-    Every one-sided transformation runs once per distinct value
-    (``per_value``); per pair only equality tests on the gathered values
-    and the fuzzy kernels (themselves once per distinct pair) remain.
-    """
-    n = len(q["street"])
+def side_features(side: dict) -> dict[str, np.ndarray]:
+    """Features both roles share: the stripped house and its raw
+    presence, the upper-cased unit and the folded city/zip/state."""
+    f = {"house": per_value(_fold(str.strip), side["house"]),
+         "has_house": per_value(bool, side["house"], dtype=bool),
+         "unit_upper": per_value(_fold(str.upper), side["unit"])}
+    for key, case, _ in _FIELDS:
+        f[key] = per_value(_fold(case), side[key])
+    return f
+
+
+def query_features(q: dict, side: dict | None = None) -> dict[str, np.ndarray]:
+    """Every one-sided query-role feature of each row of ``q`` (parsed
+    columns ``house street unit city state zip``), each transformation
+    run once per distinct value; ``side`` is ``side_features(q)`` when
+    already computed."""
+    clean, unit_in_street, upper, sx = _per_value_cols(
+        _query_street, 4, q["street"])
+    return {"has_street": per_value(bool, q["street"], dtype=bool),
+            "street_norm": normalize_array(clean), "street_upper": upper,
+            "street_sx": sx,
+            "unit": per_value(_unit, q["unit"], unit_in_street),
+            **(side or side_features(q))}
+
+
+def record_features(r: dict, side: dict | None = None) -> dict[str, np.ndarray]:
+    """Every one-sided record-role feature of each row of ``r`` (columns
+    ``house street_name street_type predir unit city state zip``; our
+    records are parsed pages, and PREDIR folds into the street the way
+    the reference joins PREDIR+STREET+STRTYPE); ``side`` as in
+    ``query_features``."""
+    n = len(r["street_name"])
+    full, sx, unit_in_street = _per_value_cols(
+        _record_street, 3, r.get("predir", [""] * n), r["street_name"],
+        r.get("street_type", [""] * n))
+    return {"street_full": full, "street_norm": normalize_array(full),
+            "street_sx": sx,
+            "unit": per_value(_unit, r["unit"], unit_in_street),
+            **(side or side_features(r))}
+
+
+def record_presence(r: dict) -> dict[str, np.ndarray]:
+    """Which record fields are present after ``strip`` (U:773-806)."""
+    return {c: per_value(_fold(str.strip), r[c]) != ""
+            for c in ("street_name", "house", "unit", "city", "state", "zip")}
+
+
+def equal_at(a: np.ndarray, b: np.ndarray, ai: np.ndarray,
+             bi: np.ndarray) -> np.ndarray:
+    """``a[ai] == b[bi]``, compared as integer codes of the values."""
+    codes = pd.factorize(np.concatenate([a, b]))[0]
+    return codes[:len(a)][ai] == codes[len(a):][bi]
+
+
+def pair_component_scores(qf: dict, rf: dict, li: np.ndarray,
+                          ri: np.ndarray) -> dict[str, np.ndarray]:
+    """Component scores (optimized.py:617-684) of the pairs
+    ``(query li[k], record ri[k])`` over ``query_features`` and
+    ``record_features``.  Returns one float64 array per component key,
+    NaN = score absent.  Per pair only index gathers, integer equality
+    tests and the fuzzy kernels (once per distinct value pair) run."""
+    n = len(li)
     scores = {k: np.full(n, np.nan) for k in COMPONENT_KEYS}
+    fz = fuzzy.apply_indexed
 
-    has_street = per_value(bool, q["street"], dtype=bool)
-    idx = np.nonzero(has_street)[0]
+    idx = np.flatnonzero(qf["has_street"][li])
     if len(idx):
-        q_clean, q_unit_in_street, q_upper, q_sx = per_value(
-            _query_street, q["street"]).T
-        rec_full, r_sx, r_unit_in_street = per_value(
-            _record_street, r.get("predir", [""] * n), r["street_name"],
-            r.get("street_type", [""] * n)).T
-        q_clean, q_upper, q_sx = q_clean[idx], q_upper[idx], q_sx[idx]
-        rec_full, r_sx = rec_full[idx], r_sx[idx]
-        fuzz = np.nonzero(normalize_array(q_clean) != normalize_array(rec_full))[0]
+        ql, rl = li[idx], ri[idx]
         st = np.full(len(idx), 100.0)
+        fuzz = np.flatnonzero(~equal_at(qf["street_norm"], rf["street_norm"], ql, rl))
         if len(fuzz):
-            st[fuzz] = fuzzy.apply_unique_pairs(
-                fuzzy.batch_token_sort_ratio, q_upper[fuzz], rec_full[fuzz])
+            st[fuzz] = fz(fuzzy.batch_token_sort_ratio, qf["street_upper"],
+                          ql[fuzz], rf["street_full"], rl[fuzz])
         scores["street"][idx] = st
         # Soundex similarity (O:642-644)
-        scores["street_soundex"][idx] = np.where(q_sx == r_sx, 100.0, 0.0)
+        scores["street_soundex"][idx] = np.where(
+            equal_at(qf["street_sx"], rf["street_sx"], ql, rl), 100.0, 0.0)
         # Unit scoring incl. units embedded in the record street (O:647-656)
-        uq = per_value(_unit, q["unit"], q_unit_in_street)[idx]
-        ur = per_value(_unit, r["unit"], r_unit_in_street)[idx]
-        both = np.nonzero((uq != "") & (ur != ""))[0]
+        both = np.flatnonzero((qf["unit"] != "")[ql] & (rf["unit"] != "")[rl])
         if len(both):
-            scores["unit"][idx[both]] = fuzzy.apply_unique_pairs(
-                fuzzy.batch_ratio, uq[both], ur[both])
+            scores["unit"][idx[both]] = fz(fuzzy.batch_ratio, qf["unit"],
+                                           ql[both], rf["unit"], rl[both])
 
     # House (O:659-673): gated on the raw values (a whitespace-only
     # house is present); exact → 100; fuzzy with −20 penalty below 90
-    q_house = per_value(_fold(str.strip), q["house"])
-    r_house = per_value(_fold(str.strip), r["house"])
-    hidx = np.nonzero(per_value(bool, q["house"], dtype=bool)
-                      & per_value(bool, r["house"], dtype=bool))[0]
+    hidx = np.flatnonzero(qf["has_house"][li] & rf["has_house"][ri])
     if len(hidx):
-        a, b = q_house[hidx], r_house[hidx]
+        hl, hr = li[hidx], ri[hidx]
         hv = np.full(len(hidx), 100.0)
-        nz = np.nonzero(a != b)[0]
+        nz = np.flatnonzero(~equal_at(qf["house"], rf["house"], hl, hr))
         if len(nz):
-            rat = fuzzy.apply_unique_pairs(fuzzy.batch_ratio, a[nz], b[nz])
+            rat = fz(fuzzy.batch_ratio, qf["house"], hl[nz], rf["house"], hr[nz])
             hv[nz] = np.where(rat < 90, np.maximum(0.0, rat - 20.0), rat)
         scores["house"][hidx] = hv
 
-    # City (O:676): partial_ratio on lowercase; zip and state (O:678-682)
-    for key, case, kernel in (("city", str.lower, fuzzy.batch_partial_ratio),
-                              ("zip", str, fuzzy.batch_ratio),
-                              ("state", str.upper, fuzzy.batch_ratio)):
-        a = per_value(_fold(case), q[key])
-        b = per_value(_fold(case), r[key])
-        kidx = np.nonzero((a != "") & (b != ""))[0]
+    for key, _, kernel in _FIELDS:
+        kidx = np.flatnonzero((qf[key] != "")[li] & (rf[key] != "")[ri])
         if len(kidx):
-            scores[key][kidx] = fuzzy.apply_unique_pairs(kernel, a[kidx], b[kidx])
+            scores[key][kidx] = fz(kernel, qf[key], li[kidx], rf[key], ri[kidx])
 
     return scores
+
+
+def component_scores(q: dict[str, np.ndarray], r: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Batch component scores — optimized.py:617-684 — of the row pairs
+    ``(q[i], r[i])``: ``pair_component_scores`` over the rows' own
+    features."""
+    rows = np.arange(len(q["street"]))
+    return pair_component_scores(query_features(q), record_features(r),
+                                 rows, rows)
 
 
 def weighted_confidence(scores: dict[str, np.ndarray],
@@ -254,51 +308,67 @@ def assign_tier(confidence: np.ndarray) -> np.ndarray:
     return idx.astype(np.int8)  # 0..10 ; 10 = failed
 
 
-def unit_adjustment(q_unit, r_unit, cfg: PipelineConfig | None = None) -> np.ndarray:
-    """Unit bonus/penalty — U:911-917: +50 exact unit match, −20 when the
-    record has a different unit, 0 when the query has no unit or the
-    record has none."""
+def pair_unit_adjustment(q_upper: np.ndarray, r_upper: np.ndarray,
+                         li: np.ndarray, ri: np.ndarray,
+                         cfg: PipelineConfig | None = None) -> np.ndarray:
+    """Unit bonus/penalty — U:911-917 — of the pairs ``(li[k], ri[k])``
+    over upper-cased units (``unit_upper`` of the side features): +50
+    exact unit match, −20 when the record has a different unit, 0 when
+    the query has no unit or the record has none."""
     cfg = cfg or PipelineConfig()
-    qu = per_value(_fold(str.upper), q_unit)
-    ru = per_value(_fold(str.upper), r_unit)
-    both = (qu != "") & (ru != "")
-    out = np.zeros(len(qu))
-    out[both] = np.where(qu[both] == ru[both], cfg.unit_match_bonus,
-                         cfg.unit_mismatch_penalty)
+    both = (q_upper != "")[li] & (r_upper != "")[ri]
+    out = np.zeros(len(li))
+    out[both] = np.where(equal_at(q_upper, r_upper, li[both], ri[both]),
+                         cfg.unit_match_bonus, cfg.unit_mismatch_penalty)
     return out
 
 
-def quality_score(confidence: np.ndarray, similarity: np.ndarray,
-                  scores: dict[str, np.ndarray], tier_idx: np.ndarray,
-                  r: dict[str, np.ndarray],
-                  block_specificity: np.ndarray | None = None) -> np.ndarray:
-    """Batch quality — U:760-838 with lowercase-keyed records.
+def unit_adjustment(q_unit, r_unit, cfg: PipelineConfig | None = None) -> np.ndarray:
+    """``pair_unit_adjustment`` of the row pairs ``(q_unit[i], r_unit[i])``."""
+    rows = np.arange(len(q_unit))
+    return pair_unit_adjustment(per_value(_fold(str.upper), q_unit),
+                                per_value(_fold(str.upper), r_unit),
+                                rows, rows, cfg)
+
+
+def pair_quality_score(confidence: np.ndarray, similarity: np.ndarray,
+                       scores: dict[str, np.ndarray], tier_idx: np.ndarray,
+                       present: dict[str, np.ndarray], ri: np.ndarray,
+                       block_specificity: np.ndarray | None = None) -> np.ndarray:
+    """Batch quality — U:760-838 with lowercase-keyed records — of pairs
+    whose records are ``ri`` in ``present`` (``record_presence``).
 
     The reference's ``es_score`` bonus (``min(es_score/10, 20)``,
     U:813-814) came from the search service; here the deterministic
     stand-in is ``block_specificity`` (0 when omitted): a blocking-key
     rarity signal computed as ``min(100/|block|, 20)`` upstream.
     """
-    n = len(confidence)
     base = confidence.copy()
-
-    def present(col) -> np.ndarray:
-        return per_value(_fold(str.strip), col) != ""
-
-    base += np.where(present(r["street_name"]), 20.0, 0.0)   # U:773-776
-    base += np.where(present(r["house"]), 15.0, 0.0)         # U:778-780
+    base += np.where(present["street_name"][ri], 20.0, 0.0)  # U:773-776
+    base += np.where(present["house"][ri], 15.0, 0.0)        # U:778-780
     # unit: record field is APTNBR-style → +35; component score>0 → +25 (U:782-795)
     unit_comp = np.nan_to_num(scores["unit"]) > 0
     base += np.where(unit_comp, 25.0, 0.0)
-    base += np.where(present(r["unit"]), 35.0, 0.0)
-    base += np.where(present(r["city"]), 10.0, 0.0)
-    base += np.where(present(r["state"]), 5.0, 0.0)
-    base += np.where(present(r["zip"]), 5.0, 0.0)
+    base += np.where(present["unit"][ri], 35.0, 0.0)
+    base += np.where(present["city"][ri], 10.0, 0.0)
+    base += np.where(present["state"][ri], 5.0, 0.0)
+    base += np.where(present["zip"][ri], 5.0, 0.0)
     if block_specificity is not None:                        # U:813-814 analog
         base += np.minimum(block_specificity, 20.0)
     base += np.where(similarity > 0, np.minimum(similarity / 5.0, 15.0), 0.0)
     base += LEVEL_ADJ_ARR[tier_idx]                          # U:821-827
     return np.clip(base, 0.0, 100.0)                         # U:838
+
+
+def quality_score(confidence: np.ndarray, similarity: np.ndarray,
+                  scores: dict[str, np.ndarray], tier_idx: np.ndarray,
+                  r: dict[str, np.ndarray],
+                  block_specificity: np.ndarray | None = None) -> np.ndarray:
+    """``pair_quality_score`` of pairs whose records are the rows of
+    ``r``."""
+    return pair_quality_score(confidence, similarity, scores, tier_idx,
+                              record_presence(r), np.arange(len(confidence)),
+                              block_specificity)
 
 
 def adjusted_confidence(confidence: np.ndarray, tier_idx: np.ndarray) -> np.ndarray:

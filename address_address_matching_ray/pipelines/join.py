@@ -208,6 +208,8 @@ def semi_join_ids(ds, ids_ds, *, id_col: str, ids_col: str | None = None,
     from address_address_matching_ray.functions import sketch as sk
 
     ids_col = ids_col or id_col
+    # one execution: the count and the pull read the pinned id column
+    ids_ds = ids_ds.select_columns([ids_col]).materialize()
     n = ids_ds.count()
     if n == 0:
         return ds.filter(expr=f"{id_col} != {id_col}")  # typed empty
@@ -215,7 +217,7 @@ def semi_join_ids(ds, ids_ds, *, id_col: str, ids_col: str | None = None,
     import ray
 
     if n <= broadcast_threshold:
-        arr = np.sort(ids_ds.to_pandas()[ids_col].to_numpy(dtype="uint64"))
+        arr = pull_ids(ids_ds, [ids_col])[ids_col].to_numpy()
         ref = ray.put(np.unique(arr))
 
         def keep(df: pd.DataFrame) -> pd.DataFrame:

@@ -119,24 +119,28 @@ def run_linkage(pages_ds, cfg: PipelineConfig | None = None,
             ds, hit[stage] = mgr.load_or_compute(stage, build)
             return ds
 
-        def add_part(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["part"] = (df[part_by].to_numpy(dtype="uint64")
-                          % np.uint64(num_partitions)).astype("int64")
-            return df
+        def add_part(t: pa.Table) -> pa.Table:
+            ids = t[part_by].to_numpy(zero_copy_only=False)
+            return t.append_column("part", pa.array(
+                (ids % np.uint64(num_partitions)).astype("int64")))
 
         ds, hit[stage] = mgr.load_or_compute(
             stage, lambda: build().map_batches(add_part,
-                                               batch_format="pandas"),
+                                               batch_format="pyarrow"),
             partition_col="part")
         return ds
 
+    def columns_of(stage: str, ds, columns: list[str]):
+        """``columns`` of a persisted stage: a projection of the pinned
+        copy, or a read of only those Parquet columns (the checkpoint
+        keeps all of them)."""
+        return (ds.select_columns(columns) if mgr is None
+                else mgr.read(stage, columns))
+
     if doc_universe is None:
         extracted = persist("extracted", lambda: extract_stage(pages_ds))
-        universe = extracted
     else:
         extracted = extract_stage(pages_ds)
-        universe = doc_universe.select_columns(["doc_id"])
 
     keys = persist("keys", lambda: keys_stage(extracted, cfg))
     keys_size = (mgr.raw_bytes("keys") if mgr is not None
@@ -159,10 +163,15 @@ def run_linkage(pages_ds, cfg: PipelineConfig | None = None,
     edges = persist("edges", build_edges, part_by="left_id")
 
     def build_clusters():
-        labels = connected_components(edges.filter(expr="accepted == True"),
+        accepted = columns_of("edges", edges,
+                              ["left_id", "right_id", "accepted"])
+        labels = connected_components(accepted.filter(expr="accepted == True"),
                                       num_partitions=num_partitions,
                                       driver_threshold=cc_driver_threshold,
                                       assume_unique=True)
+        universe = (columns_of("extracted", extracted, ["doc_id"])
+                    if doc_universe is None
+                    else doc_universe.select_columns(["doc_id"]))
         return attach_singletons(universe, labels,
                                  num_partitions=num_partitions)
 

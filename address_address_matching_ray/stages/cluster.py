@@ -359,13 +359,15 @@ def filter_out_ids(ds, ids_ds, id_col: str = "doc_id",
     ``broadcast_threshold=0`` to assert it.
     """
     ids_col = ids_col or id_col
+    # one execution: the count and the pull read the pinned id column
+    ids_ds = ids_ds.select_columns([ids_col]).materialize()
     n = ids_ds.count()
     if n == 0:
         return ds
     if n <= broadcast_threshold:
         import ray
 
-        arr = np.sort(ids_ds.to_pandas()[ids_col].to_numpy(dtype="uint64"))
+        arr = np.sort(pull_ids(ids_ds, [ids_col])[ids_col].to_numpy())
         ref = ray.put(arr)
 
         def drop(df: pd.DataFrame) -> pd.DataFrame:

@@ -32,7 +32,6 @@ Inside a bucket (all rows of a block land in the same bucket):
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -136,27 +135,38 @@ def make_pairs_bucket_arrow(t: pa.Table, cfg: PipelineConfig) -> pa.Table:
     gl, gr, own, sp, dp = pairs_for_groups(starts[multi], sizes[multi], cfg)
     if not len(gl):
         return _empty_pairs_arrow()
-    gl_a, gr_a, own_a = pa.array(gl), pa.array(gr), pa.array(own)
+    # one row per (left_id, right_id) on the narrow index arrays: max
+    # specificity, ties to the smallest block_key, i.e. the smallest
+    # ``own`` (the block's first row in the block_key-sorted table) —
+    # ``_dedup_pairs_bucket_arrow``'s rule — then the payload is
+    # gathered for the kept pairs only
+    left, right = doc[gl], doc[gr]
+    order = np.lexsort((own, -sp, right, left))
+    l, r = left[order], right[order]
+    keep = order[np.concatenate([[True], (l[1:] != l[:-1]) | (r[1:] != r[:-1])])]
+    gl_a, gr_a, own_a = (pa.array(x[keep]) for x in (gl, gr, own))
     # members are doc_id-sorted within a block → left < right already
     cols = {
-        "left_id": pa.array(doc[gl], pa.uint64()),
-        "right_id": pa.array(doc[gr], pa.uint64()),
+        "left_id": pa.array(left[keep], pa.uint64()),
+        "right_id": pa.array(right[keep], pa.uint64()),
         "block_key": pc.take(bk, own_a),
         "key_kind": pc.take(t["key_kind"], own_a),
-        "specificity": pa.array(sp, pa.float64()),
-        "dropped_pairs": pa.array(dp, pa.uint64()),
+        "specificity": pa.array(sp[keep], pa.float64()),
+        "dropped_pairs": pa.array(dp[keep], pa.uint64()),
     }
     for c in PAYLOAD_COLS:
         col = t[c]
         cols[f"l_{c}"] = pc.take(col, gl_a)
         cols[f"r_{c}"] = pc.take(col, gr_a)
-    return _dedup_pairs_bucket_arrow(pa.table(cols))
+    return pa.table(cols)
 
 
 def _dedup_pairs_bucket_arrow(t: pa.Table) -> pa.Table:
     """Cross-key pair dedup within a bucket, keeping max specificity
     (ties → lexicographically first block_key) — Arrow sort + boundary
-    mask."""
+    mask.  Shuffle #2 (``stages.cluster.dedup_edge_pairs``) runs it on
+    full pair rows; ``make_pairs_bucket_arrow`` applies the same rule
+    before it gathers the payload."""
     if t.num_rows == 0:
         return t
     t = t.sort_by([("left_id", "ascending"), ("right_id", "ascending"),
@@ -165,14 +175,6 @@ def _dedup_pairs_bucket_arrow(t: pa.Table) -> pa.Table:
     r = t["right_id"].to_numpy(zero_copy_only=False)
     keep = np.concatenate([[True], (l[1:] != l[:-1]) | (r[1:] != r[:-1])])
     return t.filter(pa.array(keep)) if not keep.all() else t
-
-
-def make_pairs_bucket(df: pd.DataFrame, cfg: PipelineConfig) -> pd.DataFrame:
-    """pandas-compat wrapper over ``make_pairs_bucket_arrow`` (tests /
-    ad-hoc use; the pipeline calls the Arrow version directly)."""
-    out = make_pairs_bucket_arrow(
-        pa.Table.from_pandas(df, preserve_index=False), cfg)
-    return out.to_pandas()
 
 
 def _pairs_schema() -> pa.Schema:

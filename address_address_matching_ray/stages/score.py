@@ -1,19 +1,22 @@
 """Tiered pair-scoring stage: stateless tasks over cached scorers.
 
-``pairs.map_batches(_score_task, batch_size=B)`` — SURVEY §7.1 step 4.
-Each worker process caches one ``PairScorer`` per config; ``__call__``
-decides a whole Arrow batch of pairs with the vectorized formulas in
-``functions.scoring`` (constants from optimized.py:115-131, 617-737;
-U:760-945).
+``pairs.map_batches(_score_task, batch_size=None)`` — SURVEY §7.1 step
+4.  Each worker process caches one ``PairScorer`` per config;
+``__call__`` decides a whole block of pairs (at most
+``cfg.score_block_rows``, from the repartition ahead of scoring) with
+the vectorized formulas in ``functions.scoring`` (constants from
+optimized.py:115-131, 617-737; U:760-945).
 
-Scoring runs per distinct value, gathered by code: each payload string
-column is read once with Arrow's ``dictionary_encode``, every one-sided
-transformation (street join and split, normalization, soundex, case
-folds, presence tests) runs once per distinct value, and pairs gather
-the results by code.  A doc appears in many pairs of a batch, so this
-does its string work once instead of once per pair.  What is left per
-pair is equality tests on the gathered values and the fuzzy kernels,
-which run once per distinct string pair.
+Scoring runs per document: the block's ``left_id ∪ right_id`` is
+factorized, each distinct document's payload is read once from its
+first row (and checked against its other rows), and every one-sided
+feature — street join and split, normalization, soundex, unit, case
+folds, presence tests — is computed once per document
+(``scoring.query_features`` / ``record_features``) and gathered to the
+pairs by document index.  A doc appears in many pairs, so its string
+work runs once instead of once per pair.  Per pair there remain
+integer equality tests and the fuzzy kernels, which run once per
+distinct value pair, at most ``fuzzy.KERNEL_PAIRS`` per kernel call.
 
 Tier-0 short-circuit: pairs whose normalized full addresses are
 byte-equal skip the fuzzy kernels entirely (exact hash path, north-star
@@ -30,20 +33,46 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from address_address_matching_ray.config import PipelineConfig
 from address_address_matching_ray.functions import fuzzy, scoring
+from address_address_matching_ray.stages.keys import PAYLOAD_COLS
 
 
-def _strings(col: pa.ChunkedArray) -> pd.Categorical:
-    """String column → ``pd.Categorical`` via Arrow's
-    ``dictionary_encode``: each distinct value becomes a Python string
-    once, and ``scoring.per_value`` reads the codes without re-hashing
-    (null → code −1, read as "")."""
-    enc = col.combine_chunks().dictionary_encode()
-    values = pd.CategoricalDtype(enc.dictionary.to_numpy(zero_copy_only=False))
-    return pd.Categorical.from_codes(enc.indices.fill_null(-1).to_numpy(),
-                                     dtype=values, validate=False)
+# label strings, gathered per pair by Arrow ``take`` of the int codes
+_TIER_NAMES = pa.array(scoring.TIER_NAMES_ARR.tolist(), pa.string())
+_RELIABILITY_NAMES = pa.array(scoring.RELIABILITY_NAMES.tolist(), pa.string())
+
+
+def _documents(batch: pa.Table) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Factorize a pair table's documents: ``(li, ri, payload)`` with
+    ``li``/``ri`` each pair's left/right document index and ``payload``
+    each distinct document's ``PAYLOAD_COLS`` strings (null read as
+    ""), taken from the document's first row.
+
+    Raises ``ValueError`` naming the column when one document carries
+    two payloads: scoring it from either row would be silently wrong.
+    ``keys_stage`` derives each doc's payload once, so a pair table it
+    feeds never does."""
+    n = batch.num_rows
+    ids = np.concatenate([batch["left_id"].to_numpy(zero_copy_only=False),
+                          batch["right_id"].to_numpy(zero_copy_only=False)])
+    codes, uniq = pd.factorize(ids)
+    first = np.empty(len(uniq), dtype=np.int64)
+    first[codes[::-1]] = np.arange(2 * n - 1, -1, -1)   # first row wins
+    rows, codes_a = pa.array(first), pa.array(codes)
+    payload = {}
+    for c in PAYLOAD_COLS:
+        col = pc.fill_null(pa.concat_arrays(
+            [batch[f"{side}_{c}"].combine_chunks().cast(pa.string())
+             for side in "lr"]), "")
+        doc = col.take(rows)
+        if n and not pc.all(pc.equal(col, doc.take(codes_a))).as_py():
+            raise ValueError(
+                f"pair table gives one doc_id two values of {c!r}")
+        payload[c] = doc.to_numpy(zero_copy_only=False)
+    return codes[:n], codes[n:], payload
 
 
 def _join_street(name: str, stype: str) -> str:
@@ -58,36 +87,36 @@ class PairScorer:
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
         n = batch.num_rows
-        get = lambda c: _strings(batch[c])
+        li, ri, doc = _documents(batch)
 
-        q = {"street": scoring.per_value(_join_street, get("l_street_name"),
-                                         get("l_street_type")),
-             "house": get("l_house"), "unit": get("l_unit"),
-             "city": get("l_city"), "state": get("l_state"), "zip": get("l_zip")}
-        r = {"street_name": get("r_street_name"), "street_type": get("r_street_type"),
-             "predir": np.full(n, "", dtype=object),
-             "house": get("r_house"), "unit": get("r_unit"),
-             "city": get("r_city"), "state": get("r_state"), "zip": get("r_zip")}
+        # both roles read one document table, so they share its side
+        # features
+        side = scoring.side_features(doc)
+        qf = scoring.query_features(
+            {"street": scoring.per_value(_join_street, doc["street_name"],
+                                         doc["street_type"]),
+             "unit": doc["unit"]}, side)
+        rf = scoring.record_features(doc, side)
 
-        comp = scoring.component_scores(q, r)
+        comp = scoring.pair_component_scores(qf, rf, li, ri)
         confidence = scoring.weighted_confidence(comp, cfg)
 
         # similarity on pre-normalized full addresses; equality fast path
-        l_na, r_na = (scoring.per_value(str, get(c))
-                      for c in ("l_norm_addr", "r_norm_addr"))
-        eq = np.asarray(l_na == r_na, dtype=bool)
+        na = doc["norm_addr"]
         similarity = np.full(n, 100.0)
-        nz = np.nonzero(~eq)[0]
+        nz = np.flatnonzero(~scoring.equal_at(na, na, li, ri))
         if len(nz):
-            similarity[nz] = fuzzy.apply_unique_pairs(
-                fuzzy.batch_ratio, l_na[nz], r_na[nz])
+            similarity[nz] = fuzzy.apply_indexed(
+                fuzzy.batch_ratio, na, li[nz], na, ri[nz])
 
         exact = scoring.exactness(similarity, confidence, comp)
         tier = scoring.assign_tier(confidence)
-        unit_adj = scoring.unit_adjustment(q["unit"], r["unit"], cfg)
+        unit_adj = scoring.pair_unit_adjustment(
+            qf["unit_upper"], rf["unit_upper"], li, ri, cfg)
         spec = batch["specificity"].to_numpy(zero_copy_only=False)
-        quality = scoring.quality_score(confidence, similarity, comp, tier, r,
-                                        block_specificity=spec)
+        quality = scoring.pair_quality_score(
+            confidence, similarity, comp, tier, scoring.record_presence(doc),
+            ri, block_specificity=spec)
         quality = np.clip(quality + unit_adj, 0.0, None)   # U:920-921
         adj_conf = scoring.adjusted_confidence(confidence, tier)
         rel = scoring.reliability(quality)
@@ -100,15 +129,14 @@ class PairScorer:
 
         out = {
             "left_id": batch["left_id"], "right_id": batch["right_id"],
-            "tier": pa.array(scoring.TIER_NAMES_ARR[tier].tolist(), pa.string()),
+            "tier": _TIER_NAMES.take(pa.array(tier)),
             "tier_idx": pa.array(tier, pa.int8()),
             "confidence": pa.array(confidence, pa.float64()),
             "adjusted_confidence": pa.array(adj_conf, pa.float64()),
             "similarity": pa.array(similarity, pa.float64()),
             "exact": pa.array(exact, pa.bool_()),
             "quality": pa.array(quality, pa.float64()),
-            "reliability": pa.array(
-                scoring.RELIABILITY_NAMES[rel].tolist(), pa.string()),
+            "reliability": _RELIABILITY_NAMES.take(pa.array(rel)),
             "unit_adjustment": pa.array(unit_adj, pa.float64()),
             "specificity": batch["specificity"],
             "accepted": pa.array(accepted, pa.bool_()),
@@ -141,4 +169,4 @@ def score_stage(pairs_ds, cfg: PipelineConfig | None = None):
     cfg = cfg or PipelineConfig()
     return pairs_ds.map_batches(
         _score_task, fn_kwargs={"cfg": cfg},
-        batch_format="pyarrow", batch_size=cfg.score_batch_size)
+        batch_format="pyarrow", batch_size=None)

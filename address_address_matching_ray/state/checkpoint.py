@@ -83,6 +83,14 @@ class CheckpointManager:
         return sum(p["raw_bytes"]
                    for p in _partition_stats(self._data_path(stage)).values())
 
+    def read(self, stage: str, columns: list[str] | None = None):
+        """A written stage as a Dataset; ``columns`` prunes the Parquet
+        read itself (a ``select_columns`` after ``read_parquet`` still
+        decodes every column)."""
+        import ray.data as rd
+
+        return rd.read_parquet(self._data_path(stage), columns=columns)
+
     def load_or_compute(self, stage: str, compute, *,
                         partition_col: str | None = None,
                         num_rows_hint: int | None = None):
@@ -96,11 +104,9 @@ class CheckpointManager:
         a re-run of a *downstream* stage prunes to the partitions it
         needs, and partial outputs of a crashed write never become
         visible (temp dir + atomic rename)."""
-        import ray.data as rd
-
         data_path = self._data_path(stage)
         if self.is_valid(stage):
-            return rd.read_parquet(data_path), True
+            return self.read(stage), True
 
         t0 = time.time()
         ds = compute()
@@ -134,7 +140,7 @@ class CheckpointManager:
         with open(self._manifest_path(stage) + ".tmp", "w") as f:
             json.dump(manifest, f, indent=1)
         os.replace(self._manifest_path(stage) + ".tmp", self._manifest_path(stage))
-        return rd.read_parquet(data_path), False
+        return self.read(stage), False
 
     def stage_metrics(self) -> list[dict]:
         out = []

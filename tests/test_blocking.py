@@ -2,6 +2,7 @@
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from address_address_matching_ray.config import PipelineConfig
@@ -11,7 +12,8 @@ from address_address_matching_ray.functions.minhash import (
 )
 from address_address_matching_ray.stages.keys import canonical_url
 from address_address_matching_ray.stages.pairs import (
-    _pair_indices, make_pairs_bucket,
+    _dedup_pairs_bucket_arrow, _hot_keys_in, _pair_indices, _salt,
+    make_pairs_bucket_arrow,
 )
 from address_address_matching_ray.stages.keys import PAYLOAD_COLS
 
@@ -76,10 +78,14 @@ def _key_rows(block_key, ids):
     return pd.DataFrame(d)
 
 
+def _arrow(df: pd.DataFrame) -> pa.Table:
+    return pa.Table.from_pandas(df, preserve_index=False)
+
+
 def test_make_pairs_full_and_window():
     cfg = PipelineConfig()
     df = _key_rows("k1", [5, 1, 3, 3])          # dup doc within block
-    out = make_pairs_bucket(df, cfg)
+    out = make_pairs_bucket_arrow(_arrow(df), cfg).to_pandas()
     assert len(out) == 3                         # C(3,2)
     assert (out.left_id < out.right_id).all()
     assert (out.dropped_pairs == 0).all()
@@ -90,7 +96,7 @@ def test_make_pairs_full_and_window():
     # hot block → window pairing, connected, logged drops
     cfg2 = PipelineConfig(max_block_size=10, max_pairs_per_block=100)
     big = _key_rows("hot", list(range(50)))
-    out2 = make_pairs_bucket(big, cfg2)
+    out2 = make_pairs_bucket_arrow(_arrow(big), cfg2).to_pandas()
     total = 50 * 49 // 2
     assert len(out2) < total
     assert out2.dropped_pairs.iloc[0] == total - len(out2)
@@ -103,11 +109,54 @@ def test_pair_dedup_keeps_max_specificity():
     cfg = PipelineConfig()
     small = _key_rows("rare", [1, 2])            # block of 2 → spec 50→20 cap
     big = _key_rows("common", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
-    out = make_pairs_bucket(pd.concat([big, small]), cfg)
+    out = make_pairs_bucket_arrow(_arrow(pd.concat([big, small])),
+                                   cfg).to_pandas()
     row = out[(out.left_id == 1) & (out.right_id == 2)]
     assert len(row) == 1
     assert row.specificity.iloc[0] == 20.0       # min(100/2,20) beats 100/10
     assert row.block_key.iloc[0] == "rare"
+
+
+def _full_gather(t: pa.Table, cfg) -> pa.Table:
+    """Every generated pair with its payload, not yet deduped: each
+    block is paired on its own."""
+    return pa.concat_tables([make_pairs_bucket_arrow(
+        t.filter(pa.compute.equal(t["block_key"], k)), cfg)
+        for k in sorted(set(t["block_key"].to_pylist()))])
+
+
+def test_pair_task_dedups_like_full_gather():
+    """The pair task dedups on narrow id arrays and gathers the payload
+    of the kept pairs only; its table equals gathering every generated
+    pair first and deduping the full rows, on the salting corpus (salt
+    sub-blocks, bridge, capped blocks, cross-key repeats)."""
+    cfg = PipelineConfig(max_block_size=4, max_pairs_per_block=40,
+                         salt_buckets=3)
+    rows = pd.concat([_key_rows("mega", list(range(120))),
+                      _key_rows("a", [1, 2, 3, 200, 201]),
+                      _key_rows("b", [2, 3, 200, 202])], ignore_index=True)
+    t = _arrow(rows)
+    t = _salt(t, _hot_keys_in(t, 8 * cfg.max_block_size), cfg.salt_buckets)
+    got = make_pairs_bucket_arrow(t, cfg)
+    full = _full_gather(t, cfg)
+    assert got.num_rows < full.num_rows           # cross-key repeats
+    assert got.equals(_dedup_pairs_bucket_arrow(full))
+    assert {"mega#bridge", "a", "b"} <= set(got["block_key"].to_pylist())
+
+
+def test_pair_task_equal_specificity_keeps_smaller_block_key():
+    """A pair co-blocked under two keys of equal specificity keeps the
+    lexicographically smaller block_key, whichever order the rows
+    arrive in."""
+    cfg = PipelineConfig()
+    rows = pd.concat([_key_rows("zeta", [7, 9]), _key_rows("alpha", [7, 9]),
+                      _key_rows("mid", [7, 9])], ignore_index=True)
+    got = make_pairs_bucket_arrow(_arrow(rows), cfg)
+    assert got.num_rows == 1
+    assert got["block_key"].to_pylist() == ["alpha"]
+    full = _full_gather(_arrow(rows), cfg)
+    assert full.num_rows == 3
+    assert got.equals(_dedup_pairs_bucket_arrow(full))
 
 
 def test_pair_indices_window_bounds():

@@ -58,6 +58,20 @@ def test_run_linkage_execution_budget(ray_session, executions):
     assert len(executions) == 4, len(executions)
 
 
+def test_checkpointed_run_linkage_execution_budget(ray_session, executions,
+                                                   tmp_path):
+    """``run_linkage`` through a checkpoint root, with the extracted
+    checkpoint as the singleton universe, up to the caller's clusters
+    count starts 5 executions: the extracted, keys, edges (pairs and
+    scoring) and clusters writes, and the CC edge materialize.  The
+    clusters count reads Parquet footers.  Reading only the columns CC
+    and the singleton attach use adds no execution."""
+    res = run_linkage(synth_pages(400, seed=3), buckets=8, num_partitions=4,
+                      checkpoint_root=str(tmp_path / "ckpt"), input_fp="n400s3")
+    assert res.clusters.count() == 400
+    assert len(executions) == 5, len(executions)
+
+
 def test_incremental_execution_budget(ray_session, executions):
     """An absorb below the broadcast gate, up to its materialized
     clusters, starts 9 executions: the new-universe count, new keys,

@@ -170,3 +170,29 @@ def test_partial_ratio_windows_never_below_full_slide():
             (fuzzy.ratio(s, l[i:i + len(s)])
              for i in range(len(l) - len(s) + 1)), default=0.0)
         assert fuzzy.partial_ratio(a, b) >= full_only - 1e-9
+
+
+def test_kernel_calls_bounded_by_kernel_pairs():
+    """``apply_indexed`` feeds a kernel at most ``KERNEL_PAIRS`` distinct
+    pairs per call, and its results equal one unchunked call, over more
+    than twice that many distinct pairs (with repeats)."""
+    import numpy as np
+
+    bound = fuzzy.KERNEL_PAIRS
+    a = np.array([f"{i} berry st" for i in range(150)], dtype=object)
+    b = np.array([f"apt {j}b" for j in range(70)], dtype=object)
+    rng = np.random.default_rng(7)
+    ai = np.concatenate([np.repeat(np.arange(150), 70), rng.integers(0, 150, 500)])
+    bi = np.concatenate([np.tile(np.arange(70), 150), rng.integers(0, 70, 500)])
+    assert len(set(zip(ai, bi))) == 150 * 70 > 2 * bound
+    sizes = []
+
+    def kernel(xs, ys):
+        sizes.append(len(xs))
+        return fuzzy.batch_ratio(xs, ys)
+
+    got = fuzzy.apply_indexed(kernel, a, ai, b, bi)
+    assert max(sizes) <= bound and sum(sizes) == 150 * 70
+    want = fuzzy.batch_ratio(list(a[ai]), list(b[bi]))
+    assert np.array_equal(got, want)
+    assert np.array_equal(fuzzy.apply_unique_pairs(kernel, a[ai], b[bi]), want)

@@ -122,3 +122,31 @@ def test_semi_join_empty_key_side(ray_session):
     empty = rd.from_pandas(pd.DataFrame({"id": np.array([], dtype="int64")}))
     out = semi_join_ids(ds, empty, id_col="id")
     assert out.count() == 0
+
+
+def test_broadcast_membership_reads_lazy_key_side_once(ray_session, tmp_path):
+    """``semi_join_ids`` and ``filter_out_ids`` on their broadcast tier
+    run a lazy key side once: its count and its driver pull read one
+    materialized copy."""
+    import ray.data as rd
+
+    from address_address_matching_ray.pipelines.join import semi_join_ids
+    from address_address_matching_ray.stages.cluster import filter_out_ids
+
+    ds = rd.from_pandas(pd.DataFrame({"id": np.arange(10, dtype="int64"),
+                                      "v": np.arange(10) * 1.5}))
+    for name, fn, want in (("semi", semi_join_ids, [2, 5, 7]),
+                           ("anti", filter_out_ids,
+                            [0, 1, 3, 4, 6, 8, 9])):
+        log = tmp_path / f"{name}.log"
+
+        def tap(df: pd.DataFrame, log=log) -> pd.DataFrame:
+            with open(log, "a") as f:
+                f.write("batch\n")
+            return df
+
+        ids = rd.from_pandas(pd.DataFrame({"id": np.array([5, 2, 7, 5])})) \
+            .map_batches(tap, batch_format="pandas", batch_size=None)
+        out = fn(ds, ids, id_col="id").to_pandas()
+        assert sorted(out["id"]) == want, name
+        assert log.read_text().splitlines() == ["batch"], name

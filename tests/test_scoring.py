@@ -345,3 +345,25 @@ def test_batch_layout_does_not_change_scores(ray_session):
     empty = scorer(pairs.slice(0, 0))
     assert empty.num_rows == 0
     assert empty.schema.equals(whole.schema)
+
+
+def test_scorer_rejects_doc_with_two_payloads():
+    """Scoring reads each document's payload once; a pair table in which
+    one doc_id carries two different cities is refused, naming the
+    column, rather than scored from whichever row came first."""
+    ids = pa.array([1, 1, 2], pa.uint64()), pa.array([2, 3, 3], pa.uint64())
+    cols = {"left_id": ids[0], "right_id": ids[1],
+            "block_key": pa.array(["k"] * 3), "key_kind": pa.array(["exact"] * 3),
+            "specificity": pa.array([20.0] * 3),
+            "dropped_pairs": pa.array([0] * 3, pa.uint64())}
+    for c in PAYLOAD_COLS:
+        cols[f"l_{c}"] = pa.array([f"{c}{i}" for i in (1, 1, 2)])
+        cols[f"r_{c}"] = pa.array([f"{c}{i}" for i in (2, 3, 3)])
+    pairs = pa.table(cols)
+    scorer = PairScorer(CFG)
+    assert scorer(pairs).num_rows == 3
+    # doc 2 is pair 0's right side and pair 2's left side
+    bad = pairs.set_column(pairs.column_names.index("l_city"), "l_city",
+                           pa.array(["city1", "city1", "elsewhere"]))
+    with pytest.raises(ValueError, match="'city'"):
+        scorer(bad)
